@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-svc bench-pipeline bench-pipeline-mc bench-xw bench-reshard bench-tiers json chaos chaos-smoke chaos-reshard chaos-reshard-smoke chaos-disk chaos-disk-smoke scrub fuzz fuzz-smoke
+.PHONY: build test race perfbench-test bench bench-svc bench-pipeline bench-pipeline-mc bench-reshard bench-tiers json chaos chaos-smoke chaos-reshard chaos-reshard-smoke chaos-disk chaos-disk-smoke scrub fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,11 @@ test:
 # admission queue, the crash campaign) plus every internal package.
 race:
 	$(GO) test -race . ./internal/...
+
+# Self-tests of the end-to-end benchmark driver (perfbench/ is its own
+# module, so `go test ./...` at the root does not reach it).
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench BenchmarkAccessAllocs -benchtime 1000x ./internal/fork ./internal/pathoram
@@ -38,15 +43,6 @@ bench-pipeline:
 # never claim a multi-core speedup.
 bench-pipeline-mc:
 	$(GO) run ./cmd/orambench -mc-sweep -svc-ops 1200 -require-mc
-
-# Cross-window pipelining comparison: the same grouped write storm at
-# equal (depth, serve-workers), once with the inter-window barrier and
-# once with the persistent pipeline + overlapped group fsync, over a
-# simulated remote tier. -require-mc here asserts at least one
-# cross-window cell beats its barriered twin (svc_xw_* fields in the
-# -json record).
-bench-xw:
-	$(GO) run ./cmd/orambench -xw -svc-ops 1200 -gomaxprocs 4 -require-mc
 
 # Online reshard benchmark: one timed 2->4 split over file-backed
 # journals with concurrent client writers riding the dual-routed front

@@ -16,8 +16,6 @@
 //	orambench -pipeline-sweep -json     # depth sweep (1,2,4) comparison table
 //	orambench -mc-sweep -json           # gomaxprocs × depth × workers baseline
 //	orambench -mc-sweep -require-mc     # fail unless GOMAXPROCS>=4 hits 1.3x
-//	orambench -xw -json                 # cross-window vs barriered at equal depth/workers
-//	orambench -xw -require-mc           # fail unless cross-window beats its barriered twin
 //	orambench -reshard -json       # online reshard under concurrent writers
 //	orambench -gomaxprocs 8        # pin the Go scheduler width for the run
 //	orambench -cpuprofile cpu.out  # profile the run for go tool pprof
@@ -104,21 +102,6 @@ type benchReport struct {
 	SvcMCBestDepth       int                   `json:"svc_mc_best_depth,omitempty"`
 	SvcMCBestWorkers     int                   `json:"svc_mc_best_workers,omitempty"`
 	SvcMCRuns            []forkoram.MCSweepRun `json:"svc_mc_runs,omitempty"`
-	// Cross-window pipelining sweep (see ServiceConfig.CrossWindow and
-	// RunXWSweep): the same workload at equal depth and serve-workers,
-	// once barriered at every window seam and once with the persistent
-	// pipeline plus overlapped group fsync. The headline ops/sec pair is
-	// the best cell's; the full per-cell table (with per-entry
-	// GOMAXPROCS/NumCPU stamps) rides in svc_xw_runs.
-	SvcXWNumCPU           int                   `json:"svc_xw_num_cpu,omitempty"`
-	SvcXWRemoteLatencyNS  int64                 `json:"svc_xw_remote_latency_ns,omitempty"`
-	SvcXWBestSpeedup      float64               `json:"svc_xw_best_speedup,omitempty"`
-	SvcXWBestGomaxprocs   int                   `json:"svc_xw_best_gomaxprocs,omitempty"`
-	SvcXWBestDepth        int                   `json:"svc_xw_best_depth,omitempty"`
-	SvcXWBestWorkers      int                   `json:"svc_xw_best_workers,omitempty"`
-	SvcXWOpsPerSec        float64               `json:"svc_xw_ops_per_sec,omitempty"`
-	SvcXWBarrierOpsPerSec float64               `json:"svc_xw_barrier_ops_per_sec,omitempty"`
-	SvcXWRuns             []forkoram.XWSweepRun `json:"svc_xw_runs,omitempty"`
 	// Online reshard bench (see RunReshardBench): one timed split over
 	// file-backed journals — migration copy throughput, journaled chunk
 	// count, summed write-barrier stall, and what concurrent client
@@ -224,41 +207,6 @@ func (r *benchReport) fillMCSweep(res forkoram.MCSweepResult) {
 		r.SvcServeWorkers = best.Workers
 		r.fillPipelineRun(best.Depth, best.Run, best.Speedup)
 	}
-}
-
-// fillXWSweep records the cross-window sweep and promotes its best
-// cell's throughput pair to the headline svc_xw_* fields.
-func (r *benchReport) fillXWSweep(res forkoram.XWSweepResult) {
-	r.SvcXWNumCPU = res.NumCPU
-	r.SvcXWRemoteLatencyNS = res.RemoteLatencyNs
-	r.SvcXWBestSpeedup = res.BestSpeedup
-	r.SvcXWBestGomaxprocs = res.BestGomaxprocs
-	r.SvcXWBestDepth = res.BestDepth
-	r.SvcXWBestWorkers = res.BestWorkers
-	r.SvcXWRuns = res.Runs
-	for i := range res.Runs {
-		run := &res.Runs[i]
-		if run.Depth == res.BestDepth && run.Workers == res.BestWorkers {
-			r.SvcXWOpsPerSec = run.CrossWindow.OpsPerSec
-			r.SvcXWBarrierOpsPerSec = run.Barriered.OpsPerSec
-			break
-		}
-	}
-}
-
-// requireXWPass extends the honesty guard to the cross-window sweep:
-// at least one cell must show the cross-window run beating its own
-// barriered twin — same depth, same serve-workers, same journal
-// medium, same payloads; the seam barrier is the only difference, so
-// anything <= 1.0x means the persistent pipeline bought nothing.
-func requireXWPass(res forkoram.XWSweepResult) error {
-	for _, run := range res.Runs {
-		if run.Speedup > 1.0 {
-			return nil
-		}
-	}
-	return fmt.Errorf("no cross-window cell beat its barriered twin (best %.2fx at gomaxprocs=%d depth=%d workers=%d)",
-		res.BestSpeedup, res.BestGomaxprocs, res.BestDepth, res.BestWorkers)
 }
 
 // requireMCPass enforces the multi-core honesty bar: some concurrent
@@ -370,9 +318,8 @@ func main() {
 		wbQueue    = flag.Int("wb-queue", 0, "Service bench: writeback queue depth for the concurrent serve stage (0 = depth-1)")
 		pipeSweep  = flag.Bool("pipeline-sweep", false, "run only the pipeline depth sweep (depths 1, 2, 4)")
 		mcSweep    = flag.Bool("mc-sweep", false, "run only the multi-core serve-stage sweep (gomaxprocs × depth × workers)")
-		xwSweep    = flag.Bool("xw", false, "run only the cross-window sweep (barriered vs cross-window at equal depth/workers)")
-		mcLatency  = flag.Duration("mc-latency", 0, "mc/xw sweep: simulated remote round-trip per bulk call (0 = 200µs default)")
-		requireMC  = flag.Bool("require-mc", false, "mc sweep: exit nonzero unless a GOMAXPROCS>=4 concurrent cell clears 1.3x; with -xw, unless a cross-window cell beats its barriered twin")
+		mcLatency  = flag.Duration("mc-latency", 0, "mc sweep: simulated remote round-trip per bulk call (0 = 200µs default)")
+		requireMC  = flag.Bool("require-mc", false, "mc sweep: exit nonzero unless a GOMAXPROCS>=4 concurrent cell clears 1.3x")
 		reshard    = flag.Bool("reshard", false, "run only the online reshard benchmark")
 		tiers      = flag.Bool("tiers", false, "run only the storage tier benchmark (mem vs disk vs remote)")
 		tierOps    = flag.Int("tier-ops", 500, "tier bench: acknowledged mixed ops per configuration (remote runs sleep real time)")
@@ -454,35 +401,6 @@ func main() {
 			}
 			rep.fillReshard(res)
 			writeReport(rep)
-		}
-		return
-	}
-	if *xwSweep {
-		start := time.Now()
-		xwCfg := svcCfg
-		xwCfg.RemoteLatency = *mcLatency
-		res, err := forkoram.RunXWSweep(xwCfg, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "orambench: xw sweep: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if *jsonOut {
-			rep := benchReport{
-				Date:        time.Now().Format("2006-01-02"),
-				GoVersion:   runtime.Version(),
-				GOMAXPROCS:  runtime.GOMAXPROCS(0),
-				WallSeconds: time.Since(start).Seconds(),
-			}
-			rep.fillXWSweep(res)
-			writeReport(rep)
-		}
-		if *requireMC {
-			if err := requireXWPass(res); err != nil {
-				fmt.Fprintf(os.Stderr, "orambench: xw guard: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("xw guard: ok")
 		}
 		return
 	}

@@ -323,14 +323,7 @@ func runCrashSchedule(rep *CrashReport, cfg CrashChaosConfig, idx uint64, varian
 		cfg: cfg,
 		id:  fmt.Sprintf("schedule %d/%v", idx, variant),
 		svcCfg: ServiceConfig{
-			Device: devCfg,
-			// Cross-window schedules (odd): the committer journals and
-			// syncs window W+1 while W executes on the applier, the
-			// device-side pipeline stays primed across the seam, and the
-			// mid-window-seam kill site becomes reachable — including
-			// under the fault-injection (≡1 mod 4) and deep-pipeline
-			// (≡3 mod 4) decorators.
-			CrossWindow:     idx%2 == 1,
+			Device:          devCfg,
 			QueueDepth:      8,
 			CheckpointEvery: 8, // frequent checkpoints: more save/truncate windows to kill in
 			MaxRecoveries:   50,

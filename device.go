@@ -166,20 +166,6 @@ type DeviceConfig struct {
 	// PipelineDepth-1, the DESIGN.md §12 sizing; larger values only add
 	// slack. Process-local tuning like PipelineDepth.
 	WritebackQueue int
-	// CrossWindow keeps the pipeline primed across dispatch windows
-	// (DESIGN.md §16): the first pipelined Batch opens a persistent
-	// stage session and later Batches reuse it, so a new window's
-	// fetches overlap the previous window's still-in-flight writebacks
-	// (the store-buffer hazard set orders every conflicting pair).
-	// Results, snapshots, and the public access sequence are identical
-	// with or without it — each Batch still returns only after all its
-	// accesses retired in program order; only storage writes straddle
-	// the seam. Any serial operation (single Read/Write, Snapshot,
-	// scrub) drains and closes the session first. Only meaningful with
-	// PipelineDepth > 1; process-local tuning like PipelineDepth (not
-	// serialized in snapshots, re-applied from the host device on
-	// restore, inert under the Integrity or Faults decorators).
-	CrossWindow bool
 	// Storage selects and shapes the storage tiers under the controller:
 	// a durable disk medium instead of the default in-memory one, a
 	// simulated remote tier with latency/transients plus its retry
@@ -307,31 +293,10 @@ type Device struct {
 	// mid-serve). Only armed when ServeWorkers >= 2.
 	midServeKill func() error
 
-	// sessionOpen marks a persistent cross-window pipeline session
-	// (DeviceConfig.CrossWindow): stage workers stay armed between
-	// Batches, with the previous window's writebacks possibly still in
-	// flight. Serial paths call endSession before touching the
-	// controller directly.
-	sessionOpen bool
-
 	// busy is the cheap concurrent-misuse guard: CAS-acquired by every
 	// public operation, so a second goroutine entering mid-operation gets
 	// ErrConcurrentAccess instead of corrupting stash/position-map state.
 	busy atomic.Int32
-}
-
-// endSession closes a persistent cross-window pipeline session: drain
-// the in-flight writebacks, join the stage workers, and surface any
-// latched error. Every serial-path entry (single operations,
-// snapshots, scrubs) funnels through here before touching controller
-// state directly; a non-nil return means evicted blocks were lost and
-// the caller must poison.
-func (d *Device) endSession() error {
-	if !d.sessionOpen {
-		return nil
-	}
-	d.sessionOpen = false
-	return d.ctl.StopPipeline()
 }
 
 // enter acquires the single-goroutine guard; leave releases it.
@@ -565,10 +530,6 @@ func (d *Device) read(addr uint64) ([]byte, error) {
 	if err := d.checkAddr(addr); err != nil {
 		return nil, err
 	}
-	if err := d.endSession(); err != nil {
-		d.poison(err)
-		return nil, d.poisoned
-	}
 	d.reads++
 	out, err := d.access(pathoram.OpRead, addr, nil)
 	if err != nil {
@@ -596,10 +557,6 @@ func (d *Device) write(addr uint64, data []byte) error {
 	}
 	if len(data) != d.cfg.BlockSize {
 		return fmt.Errorf("forkoram: payload %d bytes, want %d", len(data), d.cfg.BlockSize)
-	}
-	if err := d.endSession(); err != nil {
-		d.poison(err)
-		return d.poisoned
 	}
 	d.writes++
 	_, err := d.access(pathoram.OpWrite, addr, data)
@@ -776,49 +733,24 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 		}
 	}
 	if len(ops) > 1 && d.cfg.PipelineDepth > 1 {
-		started := d.sessionOpen
-		if !started {
-			ok, perr := d.ctl.StartPipelineOpts(d.pipelineOpts())
-			if perr != nil {
-				// Malformed pipeline options are a configuration bug caught
-				// before any state is touched — reject like validation, no
-				// poison.
-				return nil, perr
-			}
-			started = ok
-			d.sessionOpen = ok && d.cfg.CrossWindow
+		started, perr := d.ctl.StartPipelineOpts(d.pipelineOpts())
+		if perr != nil {
+			// Malformed pipeline options are a configuration bug caught
+			// before any state is touched — reject like validation, no
+			// poison.
+			return nil, perr
 		}
 		if started {
 			err := d.batchPipelined(ops, admit, &pendingCount, &next, d.cfg.ServeWorkers >= 2)
-			if d.sessionOpen {
-				// Cross-window seam: wait for this window's accesses to
-				// retire, leave workers and in-flight writebacks armed for
-				// the next window.
-				if err == nil {
-					err = d.ctl.FlushPipelineWindow()
-				}
-				if err != nil {
-					// Abort tears the whole session down (drain + join)
-					// before the poison below fail-stops the device; the
-					// teardown re-reports the already-latched error.
-					_ = d.endSession()
-				}
-			} else {
-				if serr := d.ctl.StopPipeline(); err == nil {
-					err = serr
-				}
+			if serr := d.ctl.StopPipeline(); err == nil {
+				err = serr
 			}
 			if err != nil {
-				d.sessionOpen = false
 				d.poison(err)
 				return nil, err
 			}
 			return results, nil
 		}
-	}
-	if err := d.endSession(); err != nil {
-		d.poison(err)
-		return nil, d.poisoned
 	}
 	admit()
 	guard := 0

@@ -93,9 +93,8 @@ type PipelineStats struct {
 	// gap between one pipelined window's completion (last retire) and
 	// the next window's first fetch issue. Under the window-barriered
 	// scheduler this spans the whole group-commit turnaround (gather,
-	// journal append, fsync); a cross-window session shrinks it to the
-	// seam handoff. Only meaningful under saturation: with idle clients
-	// the gap includes think time.
+	// journal append, fsync). Only meaningful under saturation: with
+	// idle clients the gap includes think time.
 	WindowTurnarounds  uint64 `json:"window_turnarounds,omitempty"`
 	WindowTurnaroundNs uint64 `json:"window_turnaround_ns,omitempty"`
 	// WorkerClamps counts windows that requested more serve workers
@@ -186,9 +185,7 @@ type pipeline struct {
 	pfCh chan struct{}
 	pf   prefetchState
 
-	stats   PipelineStats // engine-goroutine counters
-	folded  PipelineStats // totals already folded into the controller at a seam
-	flushes int           // completed FlushPipelineWindow seams this session
+	stats PipelineStats // engine-goroutine counters
 }
 
 // prefetchState is the single-slot fetch stage. The engine goroutine
@@ -291,26 +288,19 @@ func (c *Controller) StartPipelineOpts(o PipelineOpts) (bool, error) {
 }
 
 // StopPipeline drains the in-flight writebacks, joins the stage
-// workers, folds the session's unfolded statistics, and returns the
-// first error any stage latched (also latching it as the controller's
-// fatal error: a failed writeback lost evicted blocks, so the
-// controller must fail-stop exactly like a serial write failure). For
-// a single-window session (no FlushPipelineWindow calls) this counts
-// the one window; a cross-window session already counted each window
-// at its seam, and an aborted partial window is deliberately not
-// counted.
+// workers, folds the window's statistics, and returns the first error
+// any stage latched (also latching it as the controller's fatal error:
+// a failed writeback lost evicted blocks, so the controller must
+// fail-stop exactly like a serial write failure).
 func (c *Controller) StopPipeline() error {
 	if c.cs != nil {
 		cs := c.cs
 		c.cs = nil
 		err := cs.stop()
-		total := cs.stats
-		total.Add(cs.shared)
-		delta := total.Delta(cs.folded)
-		if cs.flushes == 0 {
-			delta.Windows = 1
-		}
-		c.pipeStats.Add(delta)
+		st := cs.stats
+		st.Add(cs.shared)
+		st.Windows = 1
+		c.pipeStats.Add(st)
 		c.seamStart = time.Now()
 		if err != nil && c.err == nil {
 			c.err = err
@@ -323,43 +313,10 @@ func (c *Controller) StopPipeline() error {
 	p := c.pipe
 	c.pipe = nil
 	err := p.stop()
-	total := p.stats
-	total.Add(p.shared)
-	delta := total.Delta(p.folded)
-	if p.flushes == 0 {
-		delta.Windows = 1
-	}
-	c.pipeStats.Add(delta)
-	c.seamStart = time.Now()
-	if err != nil && c.err == nil {
-		c.err = err
-	}
-	return c.err
-}
-
-// FlushPipelineWindow ends one dispatch window of a persistent
-// (cross-window) pipeline session without tearing the stage workers
-// down. On return every access of the closing window has produced its
-// result and retired in program order — but its writebacks may still
-// be in flight; the store-buffer hazard set orders the next window's
-// fetches behind them. Counters of the closing window are folded so
-// PipelineStats observes per-window deltas exactly as it would across
-// Start/Stop pairs. No-op outside a pipelined window.
-func (c *Controller) FlushPipelineWindow() error {
-	if c.cs != nil {
-		delta, err := c.cs.flushWindow()
-		c.pipeStats.Add(delta)
-		c.seamStart = time.Now()
-		if err != nil && c.err == nil {
-			c.err = err
-		}
-		return c.err
-	}
-	if c.pipe == nil {
-		return c.err
-	}
-	delta, err := c.pipe.flushWindow()
-	c.pipeStats.Add(delta)
+	st := p.stats
+	st.Add(p.shared)
+	st.Windows = 1
+	c.pipeStats.Add(st)
 	c.seamStart = time.Now()
 	if err != nil && c.err == nil {
 		c.err = err
@@ -368,7 +325,7 @@ func (c *Controller) FlushPipelineWindow() error {
 }
 
 // noteFirstFetch records the window-turnaround stall: the gap between
-// the previous window's completion (seam or stop) and this window's
+// the previous window's completion (StopPipeline) and this window's
 // first fetch issue. Sequencer goroutine only, like pipeStats itself.
 func (c *Controller) noteFirstFetch() {
 	if c.seamStart.IsZero() {
@@ -430,24 +387,6 @@ func (c *Controller) FlushWriteback() error {
 // PipelineStats returns counters accumulated over every completed
 // pipelined window.
 func (c *Controller) PipelineStats() PipelineStats { return c.pipeStats }
-
-// flushWindow is the serial-stage window seam: the window's serves all
-// ran inline on the engine goroutine, so by the time the drive loop
-// reaches the seam every result is complete and only writebacks remain
-// in flight. Fold the window's counter delta and leave the store
-// buffer to order the next window's fetches behind the tail.
-func (p *pipeline) flushWindow() (PipelineStats, error) {
-	total := p.stats
-	p.mu.Lock()
-	total.Add(p.shared)
-	err := p.wbErr
-	p.mu.Unlock()
-	delta := total.Delta(p.folded)
-	p.folded = total
-	p.flushes++
-	delta.Windows = 1
-	return delta, err
-}
 
 // prefetch issues the single-slot fetch request. Engine goroutine only.
 func (p *pipeline) prefetch(label tree.Label, fromLevel uint) {

@@ -79,21 +79,19 @@ func pipelineBatches(blocks uint64, blockSize int) [][]BatchOp {
 
 // TestPipelineDepthTraceEquivalence is the tentpole's security and
 // correctness pin: a Fork device at PipelineDepth=4 — with the serve
-// stage serial (ServeWorkers 1) or concurrent (ServeWorkers 2 and 4),
-// window-barriered or cross-window — must produce the exact public
-// access sequence of the serial device (depth 1), identical batch
+// stage serial (ServeWorkers 1) or concurrent (ServeWorkers 2 and 4) —
+// must produce the exact public access sequence of the serial device (depth 1), identical batch
 // results, identical bucket-traffic counters, an identical post-run
 // Snapshot, and a logically identical medium. The pipeline may only
 // move work in time.
 func TestPipelineDepthTraceEquivalence(t *testing.T) {
 	const blocks, blockSize = 96, 48
-	run := func(depth, workers int, xw bool) (*obsTrace, [][][]byte, *Device, []byte) {
+	run := func(depth, workers int) (*obsTrace, [][][]byte, *Device, []byte) {
 		tr := &obsTrace{}
 		d, err := NewDevice(DeviceConfig{
 			Blocks: blocks, BlockSize: blockSize, Variant: Fork,
 			Seed: 9, QueueSize: 8, PipelineDepth: depth, ServeWorkers: workers,
-			CrossWindow: xw,
-			Observer:    tr.hook(),
+			Observer: tr.hook(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -102,80 +100,77 @@ func TestPipelineDepthTraceEquivalence(t *testing.T) {
 		for _, ops := range pipelineBatches(blocks, blockSize) {
 			out, err := d.Batch(ops)
 			if err != nil {
-				t.Fatalf("depth %d workers %d xw %v: batch: %v", depth, workers, xw, err)
+				t.Fatalf("depth %d workers %d: batch: %v", depth, workers, err)
 			}
 			results = append(results, out)
 		}
 		snap, err := d.Snapshot()
 		if err != nil {
-			t.Fatalf("depth %d workers %d xw %v: snapshot: %v", depth, workers, xw, err)
+			t.Fatalf("depth %d workers %d: snapshot: %v", depth, workers, err)
 		}
 		raw, err := snap.MarshalBinary()
 		if err != nil {
-			t.Fatalf("depth %d workers %d xw %v: marshal: %v", depth, workers, xw, err)
+			t.Fatalf("depth %d workers %d: marshal: %v", depth, workers, err)
 		}
 		return tr, results, d, raw
 	}
 
-	refTrace, refOut, refDev, refSnap := run(1, 0, false)
+	refTrace, refOut, refDev, refSnap := run(1, 0)
 	rs := refDev.Stats()
 	if rs.Pipeline.Windows != 0 {
 		t.Fatalf("depth 1 engaged the pipeline: %+v", rs.Pipeline)
 	}
 
 	for _, workers := range []int{1, 2, 4} {
-		for _, xw := range []bool{false, true} {
-			pipTrace, pipOut, pipDev, pipSnap := run(4, workers, xw)
-			id := fmt.Sprintf("workers %d xw %v", workers, xw)
-			if err := refTrace.equal(pipTrace); err != nil {
-				t.Fatalf("%s: public access sequence diverged: %v", id, err)
-			}
-			for b := range refOut {
-				for i := range refOut[b] {
-					if !bytes.Equal(refOut[b][i], pipOut[b][i]) {
-						t.Fatalf("%s: batch %d result %d diverged", id, b, i)
-					}
+		pipTrace, pipOut, pipDev, pipSnap := run(4, workers)
+		id := fmt.Sprintf("workers %d", workers)
+		if err := refTrace.equal(pipTrace); err != nil {
+			t.Fatalf("%s: public access sequence diverged: %v", id, err)
+		}
+		for b := range refOut {
+			for i := range refOut[b] {
+				if !bytes.Equal(refOut[b][i], pipOut[b][i]) {
+					t.Fatalf("%s: batch %d result %d diverged", id, b, i)
 				}
 			}
+		}
 
-			ps := pipDev.Stats()
-			if rs.BucketReads != ps.BucketReads || rs.BucketWrites != ps.BucketWrites {
-				t.Fatalf("%s: bucket traffic diverged: reads %d vs %d, writes %d vs %d",
-					id, rs.BucketReads, ps.BucketReads, rs.BucketWrites, ps.BucketWrites)
-			}
-			if ps.Pipeline.Windows == 0 || ps.Pipeline.Prefetches == 0 || ps.Pipeline.Writebacks == 0 {
-				t.Fatalf("%s: depth 4 never engaged the pipeline: %+v", id, ps.Pipeline)
-			}
+		ps := pipDev.Stats()
+		if rs.BucketReads != ps.BucketReads || rs.BucketWrites != ps.BucketWrites {
+			t.Fatalf("%s: bucket traffic diverged: reads %d vs %d, writes %d vs %d",
+				id, rs.BucketReads, ps.BucketReads, rs.BucketWrites, ps.BucketWrites)
+		}
+		if ps.Pipeline.Windows == 0 || ps.Pipeline.Prefetches == 0 || ps.Pipeline.Writebacks == 0 {
+			t.Fatalf("%s: depth 4 never engaged the pipeline: %+v", id, ps.Pipeline)
+		}
 
-			// Post-run client state (position map, stash, config)
-			// byte-identical. CrossWindow is process-local tuning, so the
-			// snapshot of an xw device must equal the serial one too.
-			if !bytes.Equal(refSnap, pipSnap) {
-				t.Fatalf("%s: post-run snapshots diverged", id)
+		// Post-run client state (position map, stash, config)
+		// byte-identical.
+		if !bytes.Equal(refSnap, pipSnap) {
+			t.Fatalf("%s: post-run snapshots diverged", id)
+		}
+		// Post-run medium logically identical: same blocks in every bucket
+		// (ciphertexts differ by nonce, contents must not).
+		for n := tree.Node(0); n < tree.Node(refDev.tr.Nodes()); n++ {
+			rb, err := refDev.store.ReadBucket(n)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Post-run medium logically identical: same blocks in every bucket
-			// (ciphertexts differ by nonce, contents must not).
-			for n := tree.Node(0); n < tree.Node(refDev.tr.Nodes()); n++ {
-				rb, err := refDev.store.ReadBucket(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := append([]block.Block(nil), rb.Blocks...)
-				for i := range want {
-					want[i].Data = append([]byte(nil), want[i].Data...)
-				}
-				pb, err := pipDev.store.ReadBucket(n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) != len(pb.Blocks) {
-					t.Fatalf("%s: bucket %d occupancy diverged: %d vs %d", id, n, len(want), len(pb.Blocks))
-				}
-				for i := range want {
-					if want[i].Addr != pb.Blocks[i].Addr || want[i].Label != pb.Blocks[i].Label ||
-						!bytes.Equal(want[i].Data, pb.Blocks[i].Data) {
-						t.Fatalf("%s: bucket %d block %d diverged", id, n, i)
-					}
+			want := append([]block.Block(nil), rb.Blocks...)
+			for i := range want {
+				want[i].Data = append([]byte(nil), want[i].Data...)
+			}
+			pb, err := pipDev.store.ReadBucket(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != len(pb.Blocks) {
+				t.Fatalf("%s: bucket %d occupancy diverged: %d vs %d", id, n, len(want), len(pb.Blocks))
+			}
+			for i := range want {
+				if want[i].Addr != pb.Blocks[i].Addr || want[i].Label != pb.Blocks[i].Label ||
+					!bytes.Equal(want[i].Data, pb.Blocks[i].Data) {
+					t.Fatalf("%s: bucket %d block %d diverged", id, n, i)
 				}
 			}
 		}
@@ -187,19 +182,14 @@ func TestPipelineDepthTraceEquivalence(t *testing.T) {
 // into group-commit windows — then verifies every acknowledged write
 // against an oracle. Run under -race this is the pipeline's concurrency
 // stress test (admission racing the staged fetch/writeback workers).
-func TestPipelineServiceStress(t *testing.T) { runPipelineServiceStress(t, 0, false) }
+func TestPipelineServiceStress(t *testing.T) { runPipelineServiceStress(t, 0) }
 
 // TestConcurrentServeServiceStress is the same oracle stress with the
 // concurrent serve/evict stage engaged: worker-pool execution racing
 // admission, multi-slot prefetch, and overlapped writebacks.
-func TestConcurrentServeServiceStress(t *testing.T) { runPipelineServiceStress(t, 3, false) }
+func TestConcurrentServeServiceStress(t *testing.T) { runPipelineServiceStress(t, 3) }
 
-// TestCrossWindowServiceStress piles the cross-window committer/applier
-// split on top: group commit for window W+1 journaling while W executes,
-// with the device pipeline persistent across the seam.
-func TestCrossWindowServiceStress(t *testing.T) { runPipelineServiceStress(t, 3, true) }
-
-func runPipelineServiceStress(t *testing.T, serveWorkers int, crossWindow bool) {
+func runPipelineServiceStress(t *testing.T, serveWorkers int) {
 	const (
 		blocks    = 64
 		blockSize = 32
@@ -213,7 +203,6 @@ func runPipelineServiceStress(t *testing.T, serveWorkers int, crossWindow bool) 
 		},
 		QueueDepth:      32,
 		CheckpointEvery: 64,
-		CrossWindow:     crossWindow,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"forkoram/internal/wal"
 )
 
 // TestGroupCommitCoalesces: concurrent writers racing the admission
@@ -107,41 +110,6 @@ func TestGroupMaxSizeBound(t *testing.T) {
 	}
 	if st.GroupSizes[1] == 0 {
 		t.Fatalf("backlog of 6 never produced a size-2 window: hist %v", st.GroupSizes)
-	}
-}
-
-// TestGroupLinger: with a linger window, two writes landing within it
-// must share one group and one journal sync even when the second write
-// arrives after the worker has already drained the queue dry.
-func TestGroupLinger(t *testing.T) {
-	cfg := testServiceConfig(Fork)
-	cfg.QueueDepth = 8
-	cfg.GroupLinger = 300 * time.Millisecond
-	cfg.CheckpointEvery = 1 << 30
-	svc, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if w == 1 {
-				time.Sleep(20 * time.Millisecond) // inside the linger window
-			}
-			if err := svc.Write(ctx, uint64(w), chaosPayload(32, 2, uint64(w)+1)); err != nil {
-				t.Error(err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	st := svc.Stats()
-	if st.Groups != 1 || st.GroupedOps != 2 || st.WALSyncs != 1 {
-		t.Fatalf("linger did not coalesce: groups %d, grouped ops %d, syncs %d",
-			st.Groups, st.GroupedOps, st.WALSyncs)
 	}
 }
 
@@ -335,4 +303,273 @@ func TestGroupMixedKindsInterleave(t *testing.T) {
 	if want := uint64(goroutines * rounds); st.GroupedOps != want {
 		t.Fatalf("grouped ops %d, want %d (every request in exactly one window)", st.GroupedOps, want)
 	}
+}
+
+// TestBurstLingerCoalesces pins the explicit first-request linger that
+// replaced the scheduler-yield coalescing hack: a second write landing
+// within BurstLinger of the first must still share its window and its
+// sync — on any host, not just a single-P runtime.
+func TestBurstLingerCoalesces(t *testing.T) {
+	cfg := testServiceConfig(Fork)
+	cfg.QueueDepth = 8
+	cfg.BurstLinger = 300 * time.Millisecond
+	cfg.CheckpointEvery = 1 << 30
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w == 1 {
+				time.Sleep(20 * time.Millisecond) // inside the burst linger
+			}
+			if err := svc.Write(ctx, uint64(w), chaosPayload(32, 5, uint64(w)+1)); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := svc.Stats()
+	if st.Groups != 1 || st.GroupedOps != 2 || st.WALSyncs != 1 {
+		t.Fatalf("burst linger did not coalesce: groups %d, grouped ops %d, syncs %d",
+			st.Groups, st.GroupedOps, st.WALSyncs)
+	}
+
+	// Disabled linger (negative): the same 20ms-apart pair must now
+	// commit as two singleton windows with two syncs.
+	cfg2 := testServiceConfig(Fork)
+	cfg2.QueueDepth = 8
+	cfg2.BurstLinger = -1
+	cfg2.CheckpointEvery = 1 << 30
+	svc2, err := NewService(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w == 1 {
+				time.Sleep(20 * time.Millisecond)
+			}
+			if err := svc2.Write(ctx, uint64(w), chaosPayload(32, 6, uint64(w)+1)); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := svc2.Stats(); st.Groups != 2 || st.WALSyncs != 2 {
+		t.Fatalf("disabled burst linger still coalesced: groups %d, syncs %d", st.Groups, st.WALSyncs)
+	}
+}
+
+// TestBurstCoalescingFewCores is the few-core regression for the
+// replaced Gosched hack: pinned to a single P, concurrent writer bursts
+// must still form multi-op windows through the default burst linger.
+func TestBurstCoalescingFewCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := testServiceConfig(Fork)
+	cfg.QueueDepth = 8
+	cfg.CheckpointEvery = 1 << 30
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	const rounds, writers = 25, 4
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := svc.Write(ctx, uint64(w), chaosPayload(32, uint64(r)+40, uint64(w)+1)); err != nil {
+					t.Error(err)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	st := svc.Stats()
+	if st.Groups == st.Writes {
+		t.Fatal("single-P bursts never coalesced: every window was a singleton")
+	}
+	if st.WALSyncs >= st.Writes {
+		t.Fatalf("%d syncs for %d writes on one P: coalescing regressed", st.WALSyncs, st.Writes)
+	}
+}
+
+// pipelinedServiceConfig is testServiceConfig over a concurrent serve
+// stage (PipelineDepth 4, ServeWorkers 2), so multi-op dispatch windows
+// run through the device pipeline.
+func pipelinedServiceConfig() ServiceConfig {
+	cfg := testServiceConfig(Fork)
+	cfg.Device.QueueSize = 8
+	cfg.Device.PipelineDepth = 4
+	cfg.Device.ServeWorkers = 2
+	return cfg
+}
+
+// TestPipelinedServiceRoundTrip: read-your-writes, a multi-op batch, an
+// explicit checkpoint, and exact stats through a pipelined device.
+func TestPipelinedServiceRoundTrip(t *testing.T) {
+	svc, err := NewService(pipelinedServiceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for a := uint64(0); a < 16; a++ {
+		if err := svc.Write(ctx, a, chaosPayload(32, 77, a+1)); err != nil {
+			t.Fatalf("write %d: %v", a, err)
+		}
+	}
+	ops := make([]BatchOp, 0, 8)
+	for a := uint64(0); a < 8; a++ {
+		ops = append(ops, BatchOp{Addr: a})
+	}
+	out, err := svc.Batch(ctx, ops)
+	if err != nil {
+		t.Fatalf("read batch: %v", err)
+	}
+	for a := uint64(0); a < 16; a++ {
+		got, err := svc.Read(ctx, a)
+		if err != nil {
+			t.Fatalf("read %d: %v", a, err)
+		}
+		if !bytes.Equal(got, chaosPayload(32, 77, a+1)) {
+			t.Fatalf("addr %d read back wrong data", a)
+		}
+		if a < 8 && !bytes.Equal(out[a], got) {
+			t.Fatalf("batch read of addr %d diverged from the single read", a)
+		}
+	}
+	if err := svc.Checkpoint(ctx); err != nil {
+		t.Fatalf("checkpoint barrier: %v", err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := svc.Stats()
+	if st.Writes != 16 || st.Reads != 16 || st.Batches != 1 {
+		t.Fatalf("writes %d reads %d batches %d, want 16/16/1", st.Writes, st.Reads, st.Batches)
+	}
+	if st.Pipeline.Windows == 0 {
+		t.Fatalf("the read batch never engaged the pipeline: %+v", st.Pipeline)
+	}
+}
+
+// TestPipelinedDegenerateWindows drives the nothing-to-do paths over a
+// pipelined device: a window whose every request is invalid (nothing
+// journaled, nothing applied), a checkpoint with no window in flight,
+// and a lone write that commits as a singleton window. Each pipelined
+// batch opens and closes its own session, so none of these may wedge
+// or double-retire.
+func TestPipelinedDegenerateWindows(t *testing.T) {
+	svc, err := NewService(pipelinedServiceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+
+	// Empty window: the sole gathered request fails validation.
+	if err := svc.Write(ctx, 0, []byte{1, 2, 3}); err == nil || errors.Is(err, errKilled) {
+		t.Fatalf("malformed write returned %v, want a validation error", err)
+	}
+	if err := svc.Checkpoint(ctx); err != nil {
+		t.Fatalf("checkpoint on an idle service: %v", err)
+	}
+	if err := svc.Write(ctx, 1, chaosPayload(32, 78, 1)); err != nil {
+		t.Fatalf("lone write: %v", err)
+	}
+	if _, err := svc.Batch(ctx, []BatchOp{{Addr: 1}, {Addr: 2}}); err != nil {
+		t.Fatalf("pipelined read batch: %v", err)
+	}
+	got, err := svc.Read(ctx, 1)
+	if err != nil || !bytes.Equal(got, chaosPayload(32, 78, 1)) {
+		t.Fatalf("lone write not readable: %v", err)
+	}
+	// Another invalid-only window right before Close, so teardown runs
+	// with the last window being degenerate.
+	if err := svc.Write(ctx, 1<<40, chaosPayload(32, 78, 2)); err == nil {
+		t.Fatal("out-of-range write was accepted")
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("close after degenerate windows: %v", err)
+	}
+}
+
+// TestPipelinedCloseMidBurst: Close arriving while a burst of writers
+// is still being coalesced into pipelined windows must drain cleanly —
+// every acknowledged write durable — and a new incarnation over the
+// same stores must read everything back.
+func TestPipelinedCloseMidBurst(t *testing.T) {
+	walStore := wal.NewMemStore()
+	ckpts := NewMemCheckpointStore()
+	cfg := pipelinedServiceConfig()
+	cfg.QueueDepth = 16
+	cfg.WAL = walStore
+	cfg.Checkpoints = ckpts
+	svc, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const writers, each = 8, 6
+	acked := make([][]uint64, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				addr := uint64(w*each + i)
+				err := svc.Write(ctx, addr, chaosPayload(32, 99, addr))
+				if err == nil {
+					acked[w] = append(acked[w], addr)
+					continue
+				}
+				if !errors.Is(err, ErrClosed) {
+					t.Errorf("writer %d: %v", w, err)
+				}
+				return // closed mid-burst: later writes would also be refused
+			}
+		}(w)
+	}
+	// Let the burst form windows, then close into it.
+	time.Sleep(2 * time.Millisecond)
+	if err := svc.Close(); err != nil {
+		t.Fatalf("close mid-burst: %v", err)
+	}
+	wg.Wait()
+
+	cfg2 := pipelinedServiceConfig()
+	cfg2.WAL = walStore
+	cfg2.Checkpoints = ckpts
+	svc2, err := NewService(cfg2)
+	if err != nil {
+		t.Fatalf("reopen after mid-burst close: %v", err)
+	}
+	defer svc2.Close()
+	n := 0
+	for w := range acked {
+		for _, addr := range acked[w] {
+			got, err := svc2.Read(ctx, addr)
+			if err != nil {
+				t.Fatalf("reopened read %d: %v", addr, err)
+			}
+			if !bytes.Equal(got, chaosPayload(32, 99, addr)) {
+				t.Fatalf("acked write %d lost across mid-burst close", addr)
+			}
+			n++
+		}
+	}
+	t.Logf("%d acked writes survived a mid-burst close", n)
 }

@@ -294,10 +294,6 @@ func runShardedCrashSchedule(rep *ShardedCrashReport, cfg ShardedCrashChaosConfi
 				PipelineDepth: 2 + 2*int(idx%2),
 				ServeWorkers:  2 * int(idx%2),
 			},
-			// Odd schedules also pipeline across dispatch windows, so
-			// shard kills land on the committer/applier seam
-			// (CrashMidWindowSeam) with the serve stage fanned out.
-			CrossWindow:     idx%2 == 1,
 			QueueDepth:      8,
 			CheckpointEvery: 8,
 			MaxRecoveries:   50,

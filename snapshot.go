@@ -72,13 +72,6 @@ func (d *Device) snapshot() (*Snapshot, error) {
 	if err := d.ctl.Err(); err != nil {
 		return nil, fmt.Errorf("forkoram: snapshot of failed device: %w", err)
 	}
-	// A persistent cross-window session may still have writebacks in
-	// flight; quiescence requires the full drain + join before the
-	// medium walk below.
-	if err := d.endSession(); err != nil {
-		d.poison(err)
-		return nil, d.poisoned
-	}
 	if err := d.drain(); err != nil {
 		return nil, err
 	}
@@ -493,7 +486,6 @@ func UnmarshalSnapshot(data []byte, from *Device) (*Snapshot, error) {
 	s.cfg.PipelineDepth = from.cfg.PipelineDepth
 	s.cfg.ServeWorkers = from.cfg.ServeWorkers
 	s.cfg.WritebackQueue = from.cfg.WritebackQueue
-	s.cfg.CrossWindow = from.cfg.CrossWindow
 	// Storage holds live process-local handles (the medium, remote/retry
 	// shaping); like Observer and Faults it is re-bound from the host
 	// device, never serialized.
@@ -533,13 +525,6 @@ func (d *Device) Scrub() error {
 }
 
 func (d *Device) scrub() error {
-	// Close any cross-window session first: the raw-medium walk below
-	// must not race in-flight writeback frames. A teardown failure
-	// poisons (lost evicted blocks) but does not stop the audit — a
-	// poisoned device can be scrubbed.
-	if err := d.endSession(); err != nil {
-		d.poison(err)
-	}
 	if d.verifier != nil {
 		if err := d.verifier.VerifyAll(); err != nil {
 			return err

@@ -62,17 +62,6 @@ type ServiceBenchConfig struct {
 	// on small hosts: fetch/writeback concurrency then buys wall-clock
 	// even when every goroutine shares one core.
 	RemoteLatency time.Duration
-	// CrossWindow is forwarded to ServiceConfig.CrossWindow: the
-	// committer/applier split plus the persistent device pipeline
-	// session, so window W+1's journal fsync overlaps window W's
-	// execution and the device seam stays primed.
-	CrossWindow bool
-	// GroupLinger is forwarded to ServiceConfig.GroupLinger. The
-	// cross-window sweep sets it on BOTH sides of each pair: with
-	// drain-based window formation the barriered pipeline gets free
-	// coalescing (requests pile up while it blocks on fsync+execute),
-	// so equal-linger formation is what makes the pair apples-to-apples.
-	GroupLinger time.Duration
 }
 
 func (c ServiceBenchConfig) withDefaults() ServiceBenchConfig {
@@ -207,8 +196,6 @@ func runSvcBench(cfg ServiceBenchConfig, dir, name string, maxGroup int) (Servic
 		// window so both runs measure the journal-and-apply pipeline.
 		CheckpointEvery: 1 << 30,
 		MaxGroupSize:    maxGroup,
-		CrossWindow:     cfg.CrossWindow,
-		GroupLinger:     cfg.GroupLinger,
 	}
 	if cfg.RemoteLatency > 0 {
 		tmpl.Device.Storage.Remote = &storage.RemoteConfig{
@@ -554,145 +541,6 @@ func RunMCSweep(cfg ServiceBenchConfig, gomaxprocs []int) (MCSweepResult, error)
 				res.BestDepth = c.Depth
 				res.BestWorkers = c.Workers
 			}
-		}
-	}
-	return res, nil
-}
-
-// XWSweepRun is one (depth, serve-workers) cell measured twice under
-// identical workload, geometry, and journal medium: once with the
-// barriered per-window pipeline (the PR-9 behavior) and once with
-// cross-window pipelining. Gomaxprocs and NumCPU are stamped per entry
-// for the same reason MCSweepRun stamps them: every speedup must show
-// the scheduler width it was measured under.
-type XWSweepRun struct {
-	Gomaxprocs int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
-	Depth      int `json:"depth"`
-	Workers    int `json:"serve_workers"`
-	// Barriered drains the device pipeline and blocks on the group
-	// fsync at every window seam; CrossWindow keeps the session primed
-	// and overlaps the next window's fsync with execution.
-	Barriered   ServiceBenchRun `json:"barriered"`
-	CrossWindow ServiceBenchRun `json:"cross_window"`
-	// Speedup is CrossWindow.OpsPerSec over Barriered.OpsPerSec for
-	// this cell — the two runs differ ONLY in the CrossWindow toggle.
-	Speedup float64 `json:"speedup"`
-}
-
-// XWSweepResult is the cross-window vs. barriered comparison over a
-// (depth, serve-workers) grid: the same grouped, file-journaled write
-// storm over a simulated remote tier, measured with and without the
-// inter-window barrier at equal depth and workers.
-type XWSweepResult struct {
-	NumCPU int `json:"num_cpu"`
-	// RemoteLatencyNs echoes the simulated remote round-trip each bulk
-	// call paid (0 = in-memory medium only).
-	RemoteLatencyNs int64        `json:"remote_latency_ns"`
-	Runs            []XWSweepRun `json:"runs"`
-	// BestSpeedup locates the cell where removing the seam barrier
-	// bought the most (the headline the CI guard checks).
-	BestSpeedup    float64 `json:"best_speedup"`
-	BestGomaxprocs int     `json:"best_gomaxprocs"`
-	BestDepth      int     `json:"best_depth"`
-	BestWorkers    int     `json:"best_workers"`
-}
-
-// String renders the sweep as a comparison table for the CLI.
-func (r *XWSweepResult) String() string {
-	var b strings.Builder
-	ops := 0
-	if len(r.Runs) > 0 {
-		ops = r.Runs[0].Barriered.Ops
-	}
-	fmt.Fprintf(&b, "service cross-window sweep (%d ops per run, host cores %d, remote RTT %s):\n",
-		ops, r.NumCPU, time.Duration(r.RemoteLatencyNs))
-	fmt.Fprintf(&b, "  %4s  %5s  %7s  %12s  %12s  %7s  %14s  %14s\n",
-		"gmp", "depth", "workers", "barrier ops/s", "xw ops/s", "speedup", "barrier seam", "xw seam")
-	seam := func(run *ServiceBenchRun) time.Duration {
-		p := run.Pipeline
-		if p.WindowTurnarounds == 0 {
-			return 0
-		}
-		return time.Duration(p.WindowTurnaroundNs / p.WindowTurnarounds)
-	}
-	for _, c := range r.Runs {
-		fmt.Fprintf(&b, "  %4d  %5d  %7d  %12.0f  %12.0f  %6.2fx  %14s  %14s\n",
-			c.Gomaxprocs, c.Depth, c.Workers,
-			c.Barriered.OpsPerSec, c.CrossWindow.OpsPerSec, c.Speedup,
-			seam(&c.Barriered).Round(time.Microsecond),
-			seam(&c.CrossWindow).Round(time.Microsecond))
-	}
-	fmt.Fprintf(&b, "  best cross-window cell: %.2fx at GOMAXPROCS=%d depth=%d workers=%d\n",
-		r.BestSpeedup, r.BestGomaxprocs, r.BestDepth, r.BestWorkers)
-	return b.String()
-}
-
-// RunXWSweep measures the grouped Service write workload at each
-// (depth, serve-workers) cell twice — barriered and cross-window —
-// over a simulated remote tier (default 200µs round trip, the medium
-// whose seam stalls the persistent pipeline exists to hide). Default
-// cells: (2,1) staged pipeline, (4,2) and (4,4) concurrent serve. The
-// pairing is the point: same depth, same workers, same journal, same
-// payloads — the only degree of freedom is whether the seam barriers.
-func RunXWSweep(cfg ServiceBenchConfig, cells [][2]int) (XWSweepResult, error) {
-	if cfg.RemoteLatency == 0 {
-		cfg.RemoteLatency = 200 * time.Microsecond
-	}
-	if cfg.GroupLinger == 0 {
-		// Deliberate window formation, identical on both sides of every
-		// pair. Without it the comparison is rigged against cross-window:
-		// the barriered pipeline coalesces for free while it blocks at
-		// the seam, and the primed pipeline's smaller windows amortize
-		// the per-bulk-call RTT worse. With it, formation time (and the
-		// group fsync) hides under the previous window's execution only
-		// when the seam doesn't barrier — which is the thing measured.
-		cfg.GroupLinger = cfg.RemoteLatency
-	}
-	cfg = cfg.withDefaults()
-	if len(cells) == 0 {
-		cells = [][2]int{{2, 1}, {4, 2}, {4, 4}}
-	}
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "forkoram-xwsweep")
-		if err != nil {
-			return XWSweepResult{}, err
-		}
-		defer os.RemoveAll(dir)
-	}
-	res := XWSweepResult{NumCPU: runtime.NumCPU(), RemoteLatencyNs: int64(cfg.RemoteLatency)}
-	for _, cell := range cells {
-		ccfg := cfg
-		ccfg.PipelineDepth, ccfg.ServeWorkers = cell[0], cell[1]
-		ccfg.CrossWindow = false
-		bar, err := runSvcBench(ccfg, dir, fmt.Sprintf("xw.bar.d%d.w%d", cell[0], cell[1]), 0)
-		if err != nil {
-			return res, fmt.Errorf("forkoram: xw sweep barriered depth=%d workers=%d: %w", cell[0], cell[1], err)
-		}
-		ccfg.CrossWindow = true
-		xw, err := runSvcBench(ccfg, dir, fmt.Sprintf("xw.xw.d%d.w%d", cell[0], cell[1]), 0)
-		if err != nil {
-			return res, fmt.Errorf("forkoram: xw sweep cross-window depth=%d workers=%d: %w", cell[0], cell[1], err)
-		}
-		c := XWSweepRun{
-			Gomaxprocs:  runtime.GOMAXPROCS(0),
-			NumCPU:      runtime.NumCPU(),
-			Depth:       cell[0],
-			Workers:     cell[1],
-			Barriered:   bar,
-			CrossWindow: xw,
-		}
-		if bar.OpsPerSec > 0 {
-			c.Speedup = xw.OpsPerSec / bar.OpsPerSec
-		}
-		res.Runs = append(res.Runs, c)
-		if c.Speedup > res.BestSpeedup {
-			res.BestSpeedup = c.Speedup
-			res.BestGomaxprocs = c.Gomaxprocs
-			res.BestDepth = c.Depth
-			res.BestWorkers = c.Workers
 		}
 	}
 	return res, nil
