@@ -28,9 +28,10 @@ bench-svc:
 	$(GO) run ./cmd/orambench -svc -svc-ops 1200
 	$(GO) run ./cmd/orambench -svc -svc-ops 1200 -shards 4
 
-# Staged-pipeline depth sweep: the same grouped write storm at
-# PipelineDepth 1, 2, 4 with per-stage stall telemetry. Depth 1 is the
-# serial baseline; run on >=2 cores for the overlap to show as speedup.
+# Pipeline depth sweep: the same grouped write storm at PipelineDepth
+# 1, 2, 4 (one serve worker) with per-stage stall telemetry. Depth 1 is
+# the serial baseline; run on >=2 cores for the overlap to show as
+# speedup.
 bench-pipeline:
 	$(GO) run ./cmd/orambench -pipeline-sweep -svc-ops 1200
 
@@ -79,9 +80,9 @@ chaos-smoke:
 	$(GO) run ./cmd/forksim -faults -fault-corruption -seed 2 -fault-schedules 100 -fault-rate 0.006
 	$(GO) run ./cmd/forksim -crash -seed 3 -crash-schedules 100
 	$(GO) run ./cmd/forksim -crash-shards -seed 4 -crash-schedules 100 -shards 3
-	# Race-checked crash pass: every fourth schedule runs the concurrent
-	# serve stage (PipelineDepth 4, ServeWorkers 2), so mid-serve kills
-	# land inside worker goroutines under the race detector.
+	# Race-checked crash pass: every fourth schedule runs the pipeline
+	# (PipelineDepth 4, ServeWorkers 2), so mid-serve kills land inside
+	# worker goroutines under the race detector.
 	$(GO) run -race ./cmd/forksim -crash -seed 3 -crash-schedules 60
 
 # Disk-medium crash campaign: every schedule runs over a real disk

@@ -12,7 +12,7 @@
 //	orambench -svc                 # only the Service group-commit bench
 //	orambench -svc -shards 8 -json # sharded fleet bench, recorded to json
 //	orambench -svc -pipeline-depth 4    # pipelined device under the svc bench
-//	orambench -svc -serve-workers 4     # concurrent serve/evict stage
+//	orambench -svc -pipeline-depth 4 -serve-workers 4  # four serve workers
 //	orambench -pipeline-sweep -json     # depth sweep (1,2,4) comparison table
 //	orambench -mc-sweep -json           # gomaxprocs × depth × workers baseline
 //	orambench -mc-sweep -require-mc     # fail unless GOMAXPROCS>=4 hits 1.3x
@@ -72,11 +72,11 @@ type benchReport struct {
 	WALSyncsPerOpBaseline float64  `json:"wal_syncs_per_op_baseline,omitempty"`
 	SvcMeanGroupSize      float64  `json:"svc_mean_group_size,omitempty"`
 	SvcGroupSizeHist      []uint64 `json:"svc_group_size_hist,omitempty"`
-	// Staged intra-shard pipeline (see DeviceConfig.PipelineDepth and
+	// Intra-shard pipeline (see DeviceConfig.PipelineDepth and
 	// RunPipelineSweep): the depth the headline svc_pipeline_* numbers
 	// were measured at, its throughput and speedup over the depth-1
 	// serial run, and the stage counters — windows run, paths prefetched,
-	// refills retired by the writeback worker, and per-stage stall time.
+	// refills retired by the writeback stage, and per-stage stall time.
 	SvcPipelineDepth           int     `json:"svc_pipeline_depth,omitempty"`
 	SvcPipelineOpsPerSec       float64 `json:"svc_pipeline_ops_per_sec,omitempty"`
 	SvcPipelineSpeedup         float64 `json:"svc_pipeline_speedup,omitempty"`
@@ -89,7 +89,7 @@ type benchReport struct {
 	// SvcPipelineSweep holds the full per-depth table when -pipeline-sweep
 	// ran (depth, throughput, latency, stall telemetry per entry).
 	SvcPipelineSweep []forkoram.PipelineSweepRun `json:"svc_pipeline_sweep,omitempty"`
-	// Concurrent serve/evict stage and multi-core baseline (see
+	// Serve/evict stage and multi-core baseline (see
 	// DeviceConfig.ServeWorkers and RunMCSweep): the serve-worker count
 	// behind the headline svc_pipeline_* numbers, plus the full
 	// gomaxprocs × depth × workers grid with per-entry GOMAXPROCS/NumCPU
@@ -313,9 +313,8 @@ func main() {
 		svcOnly    = flag.Bool("svc", false, "run only the Service group-commit benchmark")
 		svcOps     = flag.Int("svc-ops", 2000, "Service bench: acknowledged writes per run")
 		shards     = flag.Int("shards", 1, "Service bench: ShardedService fleet width (1 = plain Service)")
-		pipeDepth  = flag.Int("pipeline-depth", 0, "Service bench: staged-pipeline depth per device (0/1 = serial engine)")
-		serveWork  = flag.Int("serve-workers", 0, "Service bench: concurrent serve/evict workers per device (0/1 = serial serve stage)")
-		wbQueue    = flag.Int("wb-queue", 0, "Service bench: writeback queue depth for the concurrent serve stage (0 = depth-1)")
+		pipeDepth  = flag.Int("pipeline-depth", 0, "Service bench: pipeline depth per device (0/1 = serial engine)")
+		serveWork  = flag.Int("serve-workers", 0, "Service bench: serve/evict workers per pipelined device (0/1 = one worker)")
 		pipeSweep  = flag.Bool("pipeline-sweep", false, "run only the pipeline depth sweep (depths 1, 2, 4)")
 		mcSweep    = flag.Bool("mc-sweep", false, "run only the multi-core serve-stage sweep (gomaxprocs × depth × workers)")
 		mcLatency  = flag.Duration("mc-latency", 0, "mc sweep: simulated remote round-trip per bulk call (0 = 200µs default)")
@@ -352,12 +351,11 @@ func main() {
 	}()
 
 	svcCfg := forkoram.ServiceBenchConfig{
-		Ops:            *svcOps,
-		Shards:         *shards,
-		Seed:           *seed,
-		PipelineDepth:  *pipeDepth,
-		ServeWorkers:   *serveWork,
-		WritebackQueue: *wbQueue,
+		Ops:           *svcOps,
+		Shards:        *shards,
+		Seed:          *seed,
+		PipelineDepth: *pipeDepth,
+		ServeWorkers:  *serveWork,
 	}
 	reshardCfg := forkoram.ReshardBenchConfig{Seed: *seed, NewShards: *newShards}
 	if *shards > 1 {

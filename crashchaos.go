@@ -132,9 +132,9 @@ func (r *CrashReport) String() string {
 // "at the Nth hook consultation" (rather than at a fixed point) spreads
 // kills uniformly over every CrashPoint the write path consults,
 // including the recovery-path points reachable only while healing.
-// mu serializes hook consultations: with the concurrent serve stage
-// engaged, CrashMidServe (serve workers) and CrashMidBucketWrite
-// (overlapped writeback goroutines) consult the plan concurrently. The
+// mu serializes hook consultations: inside a pipelined window,
+// CrashMidServe (serve workers) and CrashMidBucketWrite (overlapped
+// writeback goroutines) consult the plan concurrently. The
 // journal itself is quiescent during a dispatch window — the service
 // worker is blocked inside Batch — so serializing the plan suffices.
 type crashPlan struct {
@@ -280,7 +280,7 @@ func runCrashSchedule(rep *CrashReport, cfg CrashChaosConfig, idx uint64, varian
 		PipelineDepth: 2,
 	}
 	if idx%4 == 3 {
-		// Concurrent serve stage schedules: deepen the window and fan
+		// Deep-window schedules: deepen the window and fan
 		// the serve stage across workers, so kills land on a worker
 		// mid-access while sibling accesses are genuinely in flight
 		// (CrashMidServe) and bucket-write kills land inside overlapped

@@ -140,32 +140,28 @@ type DeviceConfig struct {
 	// pipeline: during a Batch of more than one operation on the Fork
 	// variant over the plain medium, access N's writeback (re-encrypt +
 	// WriteBuckets) overlaps access N+1's path prefetch (ReadBuckets +
-	// decrypt), with stash mutation and eviction remaining a single
-	// serialized stage. Depth <= 1 (the default) is the serial path;
-	// depth d allows d-1 writebacks to queue behind the one in flight.
-	// The public access sequence is identical at every depth — the
-	// schedule is deterministic and prefetch only moves already-public
-	// traffic earlier in time. Like CryptoWorkers this is process-local
-	// tuning: not serialized in snapshots, re-applied from the host
-	// device on restore, and inert under the Integrity or Faults
-	// decorators (whose per-bucket semantics pin the serial path).
+	// decrypt) and the stash phases run on the serve stage (see
+	// ServeWorkers). Depth <= 1 (the default) is the serial path; depth
+	// d allows d accesses in flight and d-1 refills queued behind the
+	// ones being written. The public access sequence is identical at
+	// every depth — the schedule is deterministic and prefetch only
+	// moves already-public traffic earlier in time. Like CryptoWorkers
+	// this is process-local tuning: not serialized in snapshots,
+	// re-applied from the host device on restore, and inert under the
+	// Integrity or Faults decorators (whose per-bucket semantics pin
+	// the serial path).
 	PipelineDepth int
-	// ServeWorkers sizes the concurrent serve/evict stage of the
-	// pipeline (DESIGN.md §15): >= 2 executes independent in-flight
-	// accesses' stash phases across that many workers, with
-	// dependency-tracked scheduling keeping every dependent pair in
-	// program order — results, snapshots, and the public access
-	// sequence are identical at every worker count. <= 1 (the default)
-	// keeps the single-goroutine serve stage of DESIGN.md §12. Only
-	// meaningful with PipelineDepth > 1; process-local tuning like
-	// PipelineDepth (not serialized in snapshots, inert under the
-	// Integrity or Faults decorators).
+	// ServeWorkers sizes the serve/evict stage of the pipeline
+	// (DESIGN.md §15): independent in-flight accesses' stash phases run
+	// across that many workers, with dependency-tracked scheduling
+	// keeping every dependent pair in program order — results,
+	// snapshots, and the public access sequence are identical at every
+	// worker count. <= 1 (the default) means one serve worker; values
+	// above PipelineDepth clamp to it. Only meaningful with
+	// PipelineDepth > 1; process-local tuning like PipelineDepth (not
+	// serialized in snapshots, inert under the Integrity or Faults
+	// decorators).
 	ServeWorkers int
-	// WritebackQueue bounds refill jobs queued behind the in-flight
-	// writeback(s) of a pipelined batch. 0 (the default) sizes it to
-	// PipelineDepth-1, the DESIGN.md §12 sizing; larger values only add
-	// slack. Process-local tuning like PipelineDepth.
-	WritebackQueue int
 	// Storage selects and shapes the storage tiers under the controller:
 	// a durable disk medium instead of the default in-memory one, a
 	// simulated remote tier with latency/transients plus its retry
@@ -281,16 +277,16 @@ type Device struct {
 	scrubStats  storage.ScrubStats
 
 	// midBatchKill, when set, is polled between accesses of a pipelined
-	// batch — after access N's refill entered writeback, before access
-	// N+1's fetch is consumed. Returning true aborts the batch with
+	// batch — after access N was sealed into the serve stage, before
+	// access N+1's fetch is issued. Returning true aborts the batch with
 	// errKilled (crash-chaos hook modelling a shard dying mid-window).
 	midBatchKill func() bool
 
-	// midServeKill, when set, is polled by the concurrent serve stage's
-	// workers before each access's stash phase (so the kill lands while
-	// other accesses are genuinely in flight). A non-nil error aborts
-	// the batch with it (crash-chaos hook modelling a shard dying
-	// mid-serve). Only armed when ServeWorkers >= 2.
+	// midServeKill, when set, is polled by the serve stage's workers
+	// before each access's stash phase (so the kill lands while other
+	// accesses are genuinely in flight). A non-nil error aborts the
+	// batch with it (crash-chaos hook modelling a shard dying
+	// mid-serve). Armed on every pipelined window.
 	midServeKill func() error
 
 	// busy is the cheap concurrent-misuse guard: CAS-acquired by every
@@ -705,7 +701,7 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 			addr := op.Addr
 			it := &fork.Item{ID: d.nextID, Addr: addr, OldLabel: old, NewLabel: newLabel}
 			it.Serve = func() error {
-				// Concurrent serve stage: record the stash work on the
+				// Pipelined window: record the stash work on the
 				// in-flight access instead of executing it here; the
 				// result lands via the callback when the access's turn
 				// executes. pendingCount still falls NOW — the engine's
@@ -741,7 +737,7 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 			return nil, perr
 		}
 		if started {
-			err := d.batchPipelined(ops, admit, &pendingCount, &next, d.cfg.ServeWorkers >= 2)
+			err := d.batchPipelined(ops, admit, &pendingCount, &next)
 			if serr := d.ctl.StopPipeline(); err == nil {
 				err = serr
 			}
@@ -770,38 +766,31 @@ func (d *Device) batch(ops []BatchOp) ([][]byte, error) {
 }
 
 // pipelineOpts shapes one pipelined dispatch window from the device
-// config. With ServeWorkers >= 2 the Observer is delivered by the
-// stage at retire time (program order) instead of by the drive loop,
-// and the mid-serve chaos kill point is armed.
+// config. The Observer is delivered by the stage at retire time
+// (program order) instead of by the drive loop, and the mid-serve chaos
+// kill point is armed.
 func (d *Device) pipelineOpts() pathoram.PipelineOpts {
-	o := pathoram.PipelineOpts{
-		Depth:          d.cfg.PipelineDepth,
-		ServeWorkers:   d.cfg.ServeWorkers,
-		WritebackQueue: d.cfg.WritebackQueue,
+	return pathoram.PipelineOpts{
+		Depth:        d.cfg.PipelineDepth,
+		ServeWorkers: d.cfg.ServeWorkers,
+		Observer:     d.cfg.Observer,
+		Kill:         d.midServeKill,
 	}
-	if o.ServeWorkers >= 2 {
-		o.Observer = d.cfg.Observer
-		o.Kill = d.midServeKill
-	}
-	return o
 }
 
 // batchPipelined drains one batch through the intra-shard pipeline.
 // The drive loop is the serial loop unrolled one phase deeper — Begin,
 // the WriteStep refill, Finish — with two pipeline hooks added at the
-// stage boundaries: FlushWriteback hands the finished access's refill to
-// the writeback worker, and Prefetch (after admission, when the engine
-// has committed its next schedule entry) starts fetching the next path.
-// The admission cadence — one admit() sweep after every completed
-// access — matches the serial loop exactly, so the engine sees the same
-// queue states and emits the same schedule at every depth.
-// With concurrent=true (ServeWorkers >= 2) the drive loop is the same
-// — the engine still runs serially here and emits the identical
-// schedule — but each finished access is sealed into the concurrent
-// stage via CommitAccess (cross-checked against the engine's reported
-// footprint) instead of having already executed inline, and the
-// Observer fires at retire time inside the stage rather than here.
-func (d *Device) batchPipelined(ops []BatchOp, admit func(), pendingCount, next *int, concurrent bool) error {
+// stage boundaries: CommitAccess seals the finished access into the
+// serve stage (cross-checked against the engine's reported footprint),
+// which executes it on a serve worker and fires the Observer at retire
+// time, and Prefetch (after admission, when the engine has committed
+// its next schedule entry) starts fetching the next path. The engine
+// still runs serially here, and the admission cadence — one admit()
+// sweep after every completed access — matches the serial loop
+// exactly, so the engine sees the same queue states and emits the same
+// schedule at every depth and worker count.
+func (d *Device) batchPipelined(ops []BatchOp, admit func(), pendingCount, next *int) error {
 	admit()
 	guard := 0
 	for *pendingCount > 0 || *next < len(ops) {
@@ -821,24 +810,15 @@ func (d *Device) batchPipelined(ops []BatchOp, admit func(), pendingCount, next 
 		if err := d.eng.Finish(a); err != nil {
 			return err
 		}
-		if concurrent {
-			deps := d.eng.LastDeps()
-			if err := d.ctl.CommitAccess(pathoram.AccessDeps{
-				Key:      deps.Key,
-				Label:    deps.Label,
-				ReadFrom: deps.ReadFrom,
-				Stop:     deps.Stop,
-				Dummy:    deps.Dummy,
-			}); err != nil {
-				return err
-			}
-		} else {
-			if err := d.ctl.FlushWriteback(); err != nil {
-				return err
-			}
-			if d.cfg.Observer != nil {
-				d.cfg.Observer(a.Label, a.Dummy(), a.ReadNodes, a.WriteNodes)
-			}
+		deps := d.eng.LastDeps()
+		if err := d.ctl.CommitAccess(pathoram.AccessDeps{
+			Key:      deps.Key,
+			Label:    deps.Label,
+			ReadFrom: deps.ReadFrom,
+			Stop:     deps.Stop,
+			Dummy:    deps.Dummy,
+		}); err != nil {
+			return err
 		}
 		admit()
 		if d.midBatchKill != nil && d.midBatchKill() {

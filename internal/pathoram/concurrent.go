@@ -10,16 +10,41 @@ import (
 	"forkoram/internal/tree"
 )
 
-// This file is the concurrent serve/evict stage (DESIGN.md §15): the
-// multi-request generalization of the §12 pipeline. The fork engine
-// still runs serially on the sequencer goroutine and decides the whole
-// schedule — labels, merge levels, dummy substitutions — ahead of
-// execution, which is sound because every engine decision is
-// stash-independent (BackgroundEvictThreshold is 0 under pipelining).
-// What used to happen inline per access (fetch consume, stash puts,
-// serve, eviction planning) is instead *recorded* into a ctask and
-// executed later on a worker pool, out of order where the dependency
-// tracker proves independence and in program order where it cannot.
+// This file is the pipeline engine (DESIGN.md §15): the serve/evict
+// stage that overlaps consecutive Fork Path accesses inside one
+// dispatch window. Per access, three stages run:
+//
+//	fetch       — ReadBuckets + Open of the access's scheduled path
+//	serve/evict — stash mutation, request serving, eviction planning
+//	writeback   — EncodeBucket + Seal + WriteBuckets of the refill
+//
+// Why overlapping is safe: the fork engine commits the next scheduled
+// access at Finish (the fork point becomes visible, so dummy-request
+// replacing can no longer swap it). From that instant, access N+1's
+// label and read range [overlap(N,N+1), L] are fixed — and provably
+// DISJOINT from access N's write set [overlap(N,N+1), L] on path N,
+// because the two paths diverge exactly at the overlap level. Deeper
+// overlap (writeback N-1 vs. fetch N+1) can conflict, e.g. when labels
+// repeat; queued writeback nodes are tracked as hazards and a fetch
+// waits until every older write to a node it needs has retired — a
+// store buffer, in CPU terms.
+//
+// Why prefetch leaks nothing: the schedule is deterministic given the
+// (public) access sequence; prefetching path N+1 only moves memory
+// traffic the adversary was already going to observe earlier in time,
+// and its timing depends on queue occupancy the adversary cannot see
+// beyond what the serial engine already reveals.
+//
+// The fork engine still runs serially on the sequencer goroutine and
+// decides the whole schedule — labels, merge levels, dummy
+// substitutions — ahead of execution, which is sound because every
+// engine decision is stash-independent (BackgroundEvictThreshold is 0
+// under pipelining). What the serial controller does inline per access
+// (fetch consume, stash puts, serve, eviction planning) is instead
+// *recorded* into a ctask and executed later on a pool of one or more
+// serve workers, out of order where the dependency tracker proves
+// independence and in program order where it cannot. With one worker
+// every task executes in program order.
 //
 // Ordering skeleton, per access (seq = program order):
 //
@@ -82,14 +107,13 @@ type cserve struct {
 	pfQ     []*pfSlot
 
 	queued   map[tree.Node][]uint64 // node -> seqs of planned, unwritten refills
+	seqFree  [][]uint64             // emptied queued lists, recycled by commit
 	inflight map[tree.Node]int      // nodes being written right now
 
 	runnable chan *ctask // resolved, dependency-free tasks (never blocks: cap > depth)
 	pfCh     chan *pfSlot
 	wbCh     chan *wbJob
 	jobFree  chan *wbJob
-	wbSem    chan struct{} // bounds concurrent WriteBuckets calls
-	wbWg     sync.WaitGroup
 
 	// stashMu serializes all stash access during the window: worker
 	// stash phases (whole-task atomic) and retirement's EndAccess. The
@@ -141,8 +165,7 @@ type ctask struct {
 
 // pfSlot is one outstanding path fetch. The sequencer fills the request
 // fields and sends it on pfCh; a fetch worker fills bks/err and flips
-// ready under mu. Unlike the §12 single-slot stage, any number of slots
-// may be in flight.
+// ready under mu. Any number of slots may be in flight.
 type pfSlot struct {
 	seq   uint64 // seq of the access that will consume this fetch
 	label tree.Label
@@ -153,17 +176,28 @@ type pfSlot struct {
 	err   error
 }
 
+// wbJob is one access's planned refill travelling to the writeback
+// stage: the nodes written (leaf-to-root, the order WriteLevel recorded
+// them) and the evicted blocks per node. The job owns its block slices
+// — EvictAppend transferred the blocks out of the stash — so the writer
+// encodes and seals without touching any stash state. skip marks a job
+// dispatched after an error latched: it retires without writing.
+type wbJob struct {
+	ns     []tree.Node
+	bks    []block.Bucket
+	blocks [][]block.Block
+	skip   bool
+}
+
 func newCserve(c *Controller, o PipelineOpts) *cserve {
 	depth := o.Depth
-	workers := o.ServeWorkers
+	workers := max(o.ServeWorkers, 1)
 	clamped := workers > depth
 	if clamped {
 		workers = depth
 	}
-	wbq := o.WritebackQueue
-	if wbq < 1 {
-		wbq = depth - 1 // the §12 sizing
-	}
+	// depth-1 refills may queue behind the ones being written.
+	wbq := depth - 1
 	cs := &cserve{
 		c:       c,
 		opts:    o,
@@ -174,7 +208,6 @@ func newCserve(c *Controller, o PipelineOpts) *cserve {
 		runnable: make(chan *ctask, depth+2),
 		pfCh:     make(chan *pfSlot, depth+2),
 		wbCh:     make(chan *wbJob, wbq),
-		wbSem:    make(chan struct{}, workers),
 		queued:   make(map[tree.Node][]uint64),
 		inflight: make(map[tree.Node]int),
 	}
@@ -206,16 +239,21 @@ func (cs *cserve) latch(err error) {
 	cs.mu.Unlock()
 }
 
-func (cs *cserve) latched() error {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.err
+// fail latches a fault the sequencer detected and fail-stops the
+// controller at detection rather than at StopPipeline. Sequencer
+// goroutine only: c.err is sequencer-owned.
+func (cs *cserve) fail(err error) error {
+	cs.latch(err)
+	if cs.c.err == nil {
+		cs.c.err = err
+	}
+	return err
 }
 
 // ensureCur returns the task recording the access currently between
 // Begin and CommitAccess, opening one if needed. Opening waits for ROB
-// capacity: at most depth unretired accesses (ServeWaits counts the
-// backpressure the §12 pipeline charged to its writeback queue).
+// capacity: at most depth unretired accesses (ServeWaits counts that
+// backpressure).
 func (cs *cserve) ensureCur() *ctask {
 	if cs.cur != nil {
 		return cs.cur
@@ -313,10 +351,8 @@ func (cs *cserve) readRange(label tree.Label, fromLevel uint, dst []tree.Node) (
 		copy(cs.pfQ, cs.pfQ[1:])
 		cs.pfQ = cs.pfQ[:len(cs.pfQ)-1]
 		if s.label != label || s.from != fromLevel || s.seq != t.seq {
-			err := fmt.Errorf("pathoram: prefetch mismatch: slot (label %d from %d seq %d), access (label %d from %d seq %d)",
-				s.label, s.from, s.seq, label, fromLevel, t.seq)
-			cs.latch(err)
-			return dst, err
+			return dst, cs.fail(fmt.Errorf("pathoram: prefetch mismatch: slot (label %d from %d seq %d), access (label %d from %d seq %d)",
+				s.label, s.from, s.seq, label, fromLevel, t.seq))
 		}
 		t.pf = s
 		return dst, nil
@@ -373,21 +409,22 @@ func (cs *cserve) commit(deps AccessDeps) error {
 		wantStop = leafPlus
 	}
 	if t.label != deps.Label || t.readFrom != wantRead || t.stop != wantStop {
-		err := fmt.Errorf("pathoram: engine/stage footprint divergence: recorded (label %d read %d stop %d), engine (label %d read %d stop %d)",
-			t.label, t.readFrom, t.stop, deps.Label, wantRead, wantStop)
-		cs.latch(err)
-		return err
+		return cs.fail(fmt.Errorf("pathoram: engine/stage footprint divergence: recorded (label %d read %d stop %d), engine (label %d read %d stop %d)",
+			t.label, t.readFrom, t.stop, deps.Label, wantRead, wantStop))
 	}
 	if (len(t.serves) == 0) != deps.Dummy {
-		err := fmt.Errorf("pathoram: engine/stage serve divergence: %d serves recorded for dummy=%v access",
-			len(t.serves), deps.Dummy)
-		cs.latch(err)
-		return err
+		return cs.fail(fmt.Errorf("pathoram: engine/stage serve divergence: %d serves recorded for dummy=%v access",
+			len(t.serves), deps.Dummy))
 	}
 	t.dummy = deps.Dummy
 	cs.mu.Lock()
 	for _, n := range t.writeNodes {
-		cs.queued[n] = append(cs.queued[n], t.seq)
+		q, ok := cs.queued[n]
+		if !ok && len(cs.seqFree) > 0 {
+			q = cs.seqFree[len(cs.seqFree)-1]
+			cs.seqFree = cs.seqFree[:len(cs.seqFree)-1]
+		}
+		cs.queued[n] = append(q, t.seq)
 	}
 	cs.tasks = append(cs.tasks, t)
 	cs.advance()
@@ -471,8 +508,7 @@ func (cs *cserve) conflict(a, b *ctask) bool {
 // advance resolves tasks in seq order: once a task's own fetch is
 // complete, compute its dependency edges against every older unexecuted
 // task and either dispatch it or park it. Caller holds mu. EvictWaits
-// counts resolution stalls on the head task's fetch — the concurrent
-// analogue of the §12 serve stage waiting on Begin's path read.
+// counts resolution stalls on the head task's fetch.
 func (cs *cserve) advance() {
 	for cs.resolveIdx < len(cs.tasks) {
 		t := cs.tasks[cs.resolveIdx]
@@ -517,8 +553,7 @@ func (cs *cserve) advance() {
 
 // fetchWorker drains pfCh: wait out write hazards older than the slot's
 // access, read the segment, and push resolution forward. Multiple fetch
-// workers overlap storage read latency across accesses — the headroom
-// the single-slot §12 stage left on the table.
+// workers overlap storage read latency across accesses.
 func (cs *cserve) fetchWorker() {
 	defer cs.wg.Done()
 	for s := range cs.pfCh {
@@ -684,10 +719,12 @@ func (cs *cserve) retireLoop() {
 				cs.opts.Observer(t.label, t.dummy, t.readNodes, t.writeNodes)
 			}
 		}
-		if t.pf != nil {
+		// A failed task may retire while its fetch is still queued; its
+		// slot then stays with the fetch worker and is never recycled.
+		if t.pf != nil && t.pf.ready {
 			cs.slotFree = append(cs.slotFree, t.pf)
-			t.pf = nil
 		}
+		t.pf = nil
 		cs.taskFree = append(cs.taskFree, t)
 	}
 }
@@ -705,11 +742,23 @@ func (cs *cserve) wbBusy(ns []tree.Node) bool {
 
 // wbDispatcher drains refill jobs in flush order (same-node jobs flush
 // in seq order because node overlap implies a scheduler edge), gating
-// each on in-flight writes to its nodes, then fans the bucket writes
-// out across up to `workers` concurrent WriteBuckets calls — the write
-// half of the latency overlap.
+// each on in-flight writes to its nodes, then hands it to a fixed pool
+// of `workers` writers — up to that many concurrent WriteBuckets calls,
+// the write half of the latency overlap. The hand-off is unbuffered, so
+// the dispatcher waits for a free writer.
 func (cs *cserve) wbDispatcher() {
 	defer cs.wg.Done()
+	work := make(chan *wbJob)
+	var writers sync.WaitGroup
+	writers.Add(cs.workers)
+	for i := 0; i < cs.workers; i++ {
+		go prof.Stage("writeback", func() {
+			defer writers.Done()
+			for job := range work {
+				cs.writeJob(job)
+			}
+		})
+	}
 	for job := range cs.wbCh {
 		cs.mu.Lock()
 		for cs.wbBusy(job.ns) && cs.err == nil {
@@ -718,53 +767,63 @@ func (cs *cserve) wbDispatcher() {
 		for _, n := range job.ns {
 			cs.inflight[n]++
 		}
-		failed := cs.err != nil
+		job.skip = cs.err != nil
 		cs.mu.Unlock()
-		cs.wbSem <- struct{}{}
-		cs.wbWg.Add(1)
-		go func(job *wbJob, failed bool) {
-			defer cs.wbWg.Done()
-			var err error
-			if !failed {
-				err = cs.c.bulk.WriteBuckets(job.ns, job.bks)
-			}
-			cs.mu.Lock()
-			if err != nil && cs.err == nil {
-				cs.err = err
-			}
-			for _, n := range job.ns {
-				cs.inflight[n]--
-				if cs.inflight[n] <= 0 {
-					delete(cs.inflight, n)
-				}
-				// Completion order per node is seq order, so retire the
-				// oldest hazard entry.
-				if q := cs.queued[n]; len(q) > 0 {
-					copy(q, q[1:])
-					cs.queued[n] = q[:len(q)-1]
-					if len(q) == 1 {
-						delete(cs.queued, n)
-					}
-				}
-			}
-			if err == nil && !failed {
-				cs.shared.Writebacks++
-			}
-			cs.cond.Broadcast()
-			cs.mu.Unlock()
-			<-cs.wbSem
-			cs.jobFree <- job
-		}(job, failed)
+		work <- job
 	}
-	cs.wbWg.Wait()
+	close(work)
+	writers.Wait()
 }
 
-// stop drains the window and joins every worker. A non-nil cur means
-// the drive loop aborted mid-access (only possible with a latched
-// error); it was never sealed, so it is simply dropped.
+// writeJob writes one refill (unless it is skipped after a latched
+// error), then retires its in-flight marks and hazard entries and
+// recycles the job.
+func (cs *cserve) writeJob(job *wbJob) {
+	var err error
+	if !job.skip {
+		err = cs.c.bulk.WriteBuckets(job.ns, job.bks)
+	}
+	cs.mu.Lock()
+	if err != nil && cs.err == nil {
+		cs.err = err
+	}
+	for _, n := range job.ns {
+		cs.inflight[n]--
+		if cs.inflight[n] <= 0 {
+			delete(cs.inflight, n)
+		}
+		// Completion order per node is seq order, so retire the oldest
+		// hazard entry.
+		if q := cs.queued[n]; len(q) > 0 {
+			copy(q, q[1:])
+			q = q[:len(q)-1]
+			if len(q) == 0 {
+				delete(cs.queued, n)
+				cs.seqFree = append(cs.seqFree, q)
+			} else {
+				cs.queued[n] = q
+			}
+		}
+	}
+	if err == nil && !job.skip {
+		cs.shared.Writebacks++
+	}
+	cs.cond.Broadcast()
+	cs.mu.Unlock()
+	cs.jobFree <- job
+}
+
+// stop drains the window and joins every worker. A non-nil cur is an
+// access recorded but never sealed: after a latched error it is the
+// drive loop's abort and is dropped; with no error latched its work
+// would be lost silently, so the window fails with ErrUnsealedAccess.
 func (cs *cserve) stop() error {
 	cs.mu.Lock()
 	if cs.cur != nil {
+		if cs.err == nil {
+			cs.err = ErrUnsealedAccess
+			cs.cond.Broadcast()
+		}
 		cs.taskFree = append(cs.taskFree, cs.cur)
 		cs.cur = nil
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -77,10 +78,11 @@ func pipelineBatches(blocks uint64, blockSize int) [][]BatchOp {
 	return out
 }
 
-// TestPipelineDepthTraceEquivalence is the tentpole's security and
-// correctness pin: a Fork device at PipelineDepth=4 — with the serve
-// stage serial (ServeWorkers 1) or concurrent (ServeWorkers 2 and 4) —
-// must produce the exact public access sequence of the serial device (depth 1), identical batch
+// TestPipelineDepthTraceEquivalence is the pipeline's security and
+// correctness pin: a Fork device at PipelineDepth=4 — with one serve
+// worker (ServeWorkers 1) or several (ServeWorkers 2 and 4) — must
+// produce the exact public access sequence of the serial device
+// (depth 1), identical batch
 // results, identical bucket-traffic counters, an identical post-run
 // Snapshot, and a logically identical medium. The pipeline may only
 // move work in time.
@@ -181,12 +183,13 @@ func TestPipelineDepthTraceEquivalence(t *testing.T) {
 // with concurrent clients — singleton writes, reads, and batches racing
 // into group-commit windows — then verifies every acknowledged write
 // against an oracle. Run under -race this is the pipeline's concurrency
-// stress test (admission racing the staged fetch/writeback workers).
+// stress test (admission racing the fetch, serve and writeback workers)
+// at the default ServeWorkers 0, which means one serve worker.
 func TestPipelineServiceStress(t *testing.T) { runPipelineServiceStress(t, 0) }
 
-// TestConcurrentServeServiceStress is the same oracle stress with the
-// concurrent serve/evict stage engaged: worker-pool execution racing
-// admission, multi-slot prefetch, and overlapped writebacks.
+// TestConcurrentServeServiceStress is the same oracle stress with three
+// serve workers: worker-pool execution racing admission, multi-slot
+// prefetch, and overlapped writebacks.
 func TestConcurrentServeServiceStress(t *testing.T) { runPipelineServiceStress(t, 3) }
 
 func runPipelineServiceStress(t *testing.T, serveWorkers int) {
@@ -288,7 +291,7 @@ func runPipelineServiceStress(t *testing.T, serveWorkers int) {
 	}
 }
 
-// TestPipelineStallAccounting pins the concurrent stage's stall
+// TestPipelineStallAccounting pins the serve stage's stall
 // bookkeeping: sampled between batches, every PipelineStats counter
 // must be monotone non-decreasing, every wait-count/wait-time pair must
 // agree (time without a count, or a count whose time can only be zero
@@ -377,5 +380,60 @@ func TestPipelineStallAccounting(t *testing.T) {
 	// window has no seam behind it.
 	if want := st.Windows - 1; st.WindowTurnarounds != want {
 		t.Fatalf("window turnarounds %d, want one per seam (%d)", st.WindowTurnarounds, want)
+	}
+}
+
+// batchMallocs counts the heap allocations of writing every block of a
+// fresh device once, in 256-write Batch calls, at the given pipeline
+// depth and serve-worker count. Device set-up and the payloads are
+// excluded.
+func batchMallocs(t *testing.T, blocks uint64, depth, workers int) uint64 {
+	t.Helper()
+	d, err := NewDevice(DeviceConfig{
+		Blocks: blocks, Variant: Fork, Seed: 7,
+		PipelineDepth: depth, ServeWorkers: workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 256
+	var batches [][]BatchOp
+	for a := uint64(0); a < blocks; a += chunk {
+		ops := make([]BatchOp, 0, chunk)
+		for b := a; b < a+chunk && b < blocks; b++ {
+			ops = append(ops, BatchOp{Addr: b, Write: true, Data: bytes.Repeat([]byte{byte(b)}, 64)})
+		}
+		batches = append(batches, ops)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ops := range batches {
+		if _, err := d.Batch(ops); err != nil {
+			t.Fatalf("depth %d workers %d: batch: %v", depth, workers, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if depth > 1 && d.Stats().Pipeline.Windows != uint64(len(batches)) {
+		t.Fatalf("depth %d workers %d: %d pipelined windows, want %d",
+			depth, workers, d.Stats().Pipeline.Windows, len(batches))
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestPipelinedBatchAllocs pins the pipeline's CPU overhead where it
+// shows most, a CPU-bound bulk load: the same pipelined Batch calls
+// must allocate no more than on the serial engine, at one and at two
+// serve workers. Per-window set-up is amortized over 256-op batches;
+// per-access churn (writeback goroutines, hazard lists) is not.
+func TestPipelinedBatchAllocs(t *testing.T) {
+	const blocks = 1 << 10
+	serial := batchMallocs(t, blocks, 1, 0)
+	for _, workers := range []int{1, 2} {
+		if got := batchMallocs(t, blocks, 4, workers); got > serial {
+			t.Errorf("depth 4 workers %d: %d allocations, serial engine %d", workers, got, serial)
+		} else {
+			t.Logf("depth 4 workers %d: %d allocations, serial engine %d", workers, got, serial)
+		}
 	}
 }

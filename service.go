@@ -205,13 +205,14 @@ const (
 	// any frame is audited — the scrub cadence counter is already reset,
 	// so recovery must not depend on scrub progress for correctness.
 	CrashMidScrub
-	// CrashMidServe: on a concurrent serve stage worker, before one
+	// CrashMidServe: on a serve stage worker, before one
 	// in-flight access's stash phase — other accesses of the window may
 	// be mid-fetch, mid-serve, or mid-writeback on sibling workers when
 	// the kill lands. The window's group is durable but unacknowledged;
 	// replay must reconstruct it over a medium holding an arbitrary
-	// subset of the window's completed writebacks. Consulted only when
-	// DeviceConfig.ServeWorkers >= 2 engages the concurrent stage.
+	// subset of the window's completed writebacks. Consulted on every
+	// pipelined window (DeviceConfig.PipelineDepth > 1 on a multi-op
+	// window).
 	CrashMidServe
 	numCrashPoints = int(CrashMidServe) + 1
 )

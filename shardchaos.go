@@ -258,7 +258,7 @@ func runShardedCrashSchedule(rep *ShardedCrashReport, cfg ShardedCrashChaosConfi
 	retries := 0
 	// Same schedule matrix as the single-service campaign: even idx gets
 	// the Integrity decorator, idx ≡ 1 (mod 4) fault injection, and
-	// idx ≡ 3 (mod 4) a plain medium — the only decoration the staged
+	// idx ≡ 3 (mod 4) a plain medium — the only decoration the
 	// pipeline engages over, so mid-pipeline kills fire on those.
 	if cfg.Faults && idx%4 == 1 {
 		p := 0.002 / 3
@@ -287,10 +287,10 @@ func runShardedCrashSchedule(rep *ShardedCrashReport, cfg ShardedCrashChaosConfi
 				Integrity: idx%2 == 0,
 				Retries:   retries,
 				Faults:    fc,
-				// Staged pipeline on plain-medium schedules (no-op under
-				// the decorators), so shard kills land mid-window too;
-				// odd schedules fan the serve stage across workers so
-				// kills also land mid-serve (CrashMidServe).
+				// Pipeline on plain-medium schedules (no-op under the
+				// decorators), so shard kills land mid-window and
+				// mid-serve (CrashMidServe) too; odd schedules deepen
+				// the window and fan the serve stage across workers.
 				PipelineDepth: 2 + 2*int(idx%2),
 				ServeWorkers:  2 * int(idx%2),
 			},

@@ -485,7 +485,6 @@ func UnmarshalSnapshot(data []byte, from *Device) (*Snapshot, error) {
 	s.cfg.CryptoWorkers = from.cfg.CryptoWorkers
 	s.cfg.PipelineDepth = from.cfg.PipelineDepth
 	s.cfg.ServeWorkers = from.cfg.ServeWorkers
-	s.cfg.WritebackQueue = from.cfg.WritebackQueue
 	// Storage holds live process-local handles (the medium, remote/retry
 	// shaping); like Observer and Faults it is re-bound from the host
 	// device, never serialized.

@@ -50,12 +50,10 @@ type ServiceBenchConfig struct {
 	// the serial engine, >=2 lets grouped dispatch windows overlap path
 	// fetch, serve/evict, and writeback across accesses.
 	PipelineDepth int
-	// ServeWorkers is forwarded to DeviceConfig.ServeWorkers: >=2 runs
-	// the concurrent serve/evict stage (multi-request in-flight
-	// execution) inside each pipelined window.
+	// ServeWorkers is forwarded to DeviceConfig.ServeWorkers: the
+	// serve/evict stage's worker count inside each pipelined window
+	// (<= 1 means one worker).
 	ServeWorkers int
-	// WritebackQueue is forwarded to DeviceConfig.WritebackQueue.
-	WritebackQueue int
 	// RemoteLatency, when > 0, interposes a simulated remote storage
 	// tier charging this fixed round-trip cost per bulk call (no
 	// transients). This is what makes latency-overlap benchmarks honest
@@ -106,7 +104,7 @@ type ServiceBenchRun struct {
 	// GroupSizes histograms dispatch-window sizes: buckets 1, 2, 3–4,
 	// 5–8, 9–16, 17–32, 33–64, 65–128, 129+.
 	GroupSizes [9]uint64 `json:"group_size_hist"`
-	// Pipeline holds the staged-pipeline counter deltas for this run:
+	// Pipeline holds the pipeline counter deltas for this run:
 	// windows, prefetches, writebacks, and the per-stage stall counts and
 	// nanoseconds (zero when PipelineDepth <= 1).
 	Pipeline pathoram.PipelineStats `json:"pipeline"`
@@ -182,14 +180,13 @@ func runSvcBench(cfg ServiceBenchConfig, dir, name string, maxGroup int) (Servic
 	var run ServiceBenchRun
 	tmpl := ServiceConfig{
 		Device: DeviceConfig{
-			Blocks:         cfg.Blocks,
-			BlockSize:      cfg.BlockSize,
-			QueueSize:      8,
-			Seed:           cfg.Seed,
-			Variant:        Fork,
-			PipelineDepth:  cfg.PipelineDepth,
-			ServeWorkers:   cfg.ServeWorkers,
-			WritebackQueue: cfg.WritebackQueue,
+			Blocks:        cfg.Blocks,
+			BlockSize:     cfg.BlockSize,
+			QueueSize:     8,
+			Seed:          cfg.Seed,
+			Variant:       Fork,
+			PipelineDepth: cfg.PipelineDepth,
+			ServeWorkers:  cfg.ServeWorkers,
 		},
 		QueueDepth: cfg.QueueDepth,
 		// Checkpoints clone the whole medium; keep them out of the timed
@@ -485,9 +482,9 @@ func (r *MCSweepResult) String() string {
 // RunMCSweep measures the grouped Service write workload across a
 // gomaxprocs × (depth, serve-workers) grid, restoring GOMAXPROCS
 // afterwards. Defaults: gomaxprocs {1, 4}, cells (1,0) serial, (4,1)
-// staged pipeline, (4,4) concurrent serve stage, over a simulated
-// remote tier with a 200µs round trip — the configuration whose
-// latency the concurrent stage exists to overlap. The workload is
+// pipeline with one serve worker, (4,4) pipeline with four serve
+// workers, over a simulated remote tier with a 200µs round trip — the
+// configuration whose latency the pipeline exists to overlap. The workload is
 // crypto-light (RunServiceBench geometry) so the remote RTT dominates
 // and the sweep measures overlap, not AES throughput.
 func RunMCSweep(cfg ServiceBenchConfig, gomaxprocs []int) (MCSweepResult, error) {
