@@ -66,12 +66,12 @@ json:
 # failures replay exactly. Exits non-zero on any silent corruption /
 # untyped error / lost acknowledged write. The -crash campaign kills the
 # supervised Service at every write-path point across 1000 schedules,
-# each run with both Device variants.
+# each run with both Device variants; -shards aims it at a fleet.
 chaos:
 	$(GO) run ./cmd/forksim -faults -seed 1 -fault-schedules 1000
 	$(GO) run ./cmd/forksim -faults -fault-corruption -seed 2 -fault-schedules 1000 -fault-rate 0.006
 	$(GO) run ./cmd/forksim -crash -seed 3 -crash-schedules 1000
-	$(GO) run ./cmd/forksim -crash-shards -seed 4 -crash-schedules 1000 -shards 3
+	$(GO) run ./cmd/forksim -crash -seed 4 -crash-schedules 1000 -shards 3
 
 # Reduced-schedule campaign for CI smoke: same assertions, ~10% of the
 # schedules.
@@ -79,11 +79,14 @@ chaos-smoke:
 	$(GO) run ./cmd/forksim -faults -seed 1 -fault-schedules 100
 	$(GO) run ./cmd/forksim -faults -fault-corruption -seed 2 -fault-schedules 100 -fault-rate 0.006
 	$(GO) run ./cmd/forksim -crash -seed 3 -crash-schedules 100
-	$(GO) run ./cmd/forksim -crash-shards -seed 4 -crash-schedules 100 -shards 3
-	# Race-checked crash pass: every fourth schedule runs the pipeline
-	# (PipelineDepth 4, ServeWorkers 2), so mid-serve kills land inside
-	# worker goroutines under the race detector.
+	$(GO) run ./cmd/forksim -crash -seed 4 -crash-schedules 100 -shards 3
+	# Race-checked crash passes over all three targets: pipelined
+	# schedules run PipelineDepth 4 with ServeWorkers 2, so mid-serve
+	# kills land inside worker goroutines under the race detector, and
+	# the reshard's migrator races client traffic.
 	$(GO) run -race ./cmd/forksim -crash -seed 3 -crash-schedules 60
+	$(GO) run -race ./cmd/forksim -crash -seed 4 -crash-schedules 60 -shards 3
+	$(GO) run -race ./cmd/forksim -crash -seed 5 -crash-schedules 60 -shards 2 -add-shards 2
 
 # Disk-medium crash campaign: every schedule runs over a real disk
 # bucket store, so kills land inside frame writes (mid-bucket-write
@@ -93,9 +96,12 @@ chaos-smoke:
 chaos-disk:
 	$(GO) run ./cmd/forksim -crash -disk -seed 3 -crash-schedules 1000
 
-# Reduced-schedule variant for CI smoke.
+# Reduced-schedule variant for CI smoke, plus a race-checked pass:
+# under -disk, schedules ≡ 3 (mod 4) are the only ones where pipelined
+# writeback bucket-write kills run beside serve-worker kills.
 chaos-disk-smoke:
 	$(GO) run ./cmd/forksim -crash -disk -seed 3 -crash-schedules 100
+	$(GO) run -race ./cmd/forksim -crash -disk -seed 3 -crash-schedules 60
 
 # Offline scrub-and-repair demo: builds a disk-backed device, injects
 # frame corruptions out-of-band, and verifies the scrub detects exactly
@@ -111,12 +117,12 @@ scrub:
 # journals after each. Exits non-zero on any lost acked write or silent
 # corruption.
 chaos-reshard:
-	$(GO) run ./cmd/forksim -crash-reshard -seed 5 -crash-schedules 1000 -shards 2 -add-shards 2
+	$(GO) run ./cmd/forksim -crash -seed 5 -crash-schedules 1000 -shards 2 -add-shards 2
 
 # Reduced-schedule variant for CI smoke (still covers every phase: the
 # kill focus rotates with period 5).
 chaos-reshard-smoke:
-	$(GO) run ./cmd/forksim -crash-reshard -seed 5 -crash-schedules 100 -shards 2 -add-shards 2
+	$(GO) run ./cmd/forksim -crash -seed 5 -crash-schedules 100 -shards 2 -add-shards 2
 
 # Coverage-guided fuzzing of the Device against a map oracle, with and
 # without fault injection (see FuzzDeviceOps in fuzz_test.go).

@@ -14,29 +14,22 @@
 //	forksim -faults -seed 1 -fault-schedules 1000
 //	forksim -faults -fault-corruption -fault-rate 0.006
 //
-// With -crash, forksim runs the crash-at-every-point campaign against
-// the supervised Service (process kills between journal append and
-// apply, around checkpoints, mid-restore) and exits non-zero if any
-// acknowledged write is lost or any read is silently wrong:
+// With -crash, forksim runs the crash-at-every-point campaign and exits
+// non-zero if any acknowledged write is lost or any read is silently
+// wrong. The widths pick the target: one supervised Service (process
+// kills between journal append and apply, around checkpoints,
+// mid-restore); with -shards, a ShardedService fleet (kills land in
+// individual shard supervisors, healthy siblings are probed for reads
+// and writes while a shard is down, and the dead shard is restarted from
+// its surviving stores); with -add-shards as well, an ONLINE reshard
+// (every schedule splits the fleet, odd schedules then merge back, while
+// a client workload runs; the router is killed at every migration phase,
+// the fleet rebuilt from its surviving journals and the migration
+// resumed):
 //
 //	forksim -crash -seed 1 -crash-schedules 1000
-//
-// With -crash-shards, the same campaign runs against a ShardedService
-// fleet: kills land in individual shard supervisors, healthy siblings
-// are probed for reads and writes while a shard is down, and the dead
-// shard is restarted from its surviving per-shard stores:
-//
-//	forksim -crash-shards -seed 1 -crash-schedules 1000 -shards 3
-//
-// With -crash-reshard, the campaign targets an ONLINE reshard: every
-// schedule splits the fleet (odd schedules then merge back) while a
-// client workload runs, the router is killed at every migration phase
-// (policy append, mid-stream, watermark advance, cutover commit,
-// post-cutover truncate), the fleet is rebuilt from its surviving
-// journals, and the migration resumed — exiting non-zero if any
-// acknowledged write is lost or any read is silently wrong:
-//
-//	forksim -crash-reshard -seed 1 -crash-schedules 1000 -shards 2 -add-shards 2
+//	forksim -crash -seed 1 -crash-schedules 1000 -shards 3
+//	forksim -crash -seed 1 -crash-schedules 1000 -shards 2 -add-shards 2
 //
 // With -recover, forksim runs a self-healing demo: a Service under
 // continuous fault injection with device retries disabled, so every
@@ -88,19 +81,15 @@ func main() {
 		chaosRate       = flag.Float64("fault-rate", 0.004, "chaos: total fault probability per bucket operation")
 		chaosCorruption = flag.Bool("fault-corruption", false, "chaos: include medium-corrupting faults (bit flips, torn writes, stale replays)")
 
-		crash          = flag.Bool("crash", false, "run the crash-at-every-point campaign against the supervised Service")
+		crash          = flag.Bool("crash", false, "run the crash-at-every-point campaign (one Service, a -shards fleet, or a -add-shards online reshard)")
 		crashSchedules = flag.Int("crash-schedules", 1000, "crash: independent crash schedules (each runs both variants)")
-		crashDisk      = flag.Bool("disk", false, "crash: run every schedule over the durable disk bucket store (kills mid-bucket-write and mid-scrub included)")
+		crashDisk      = flag.Bool("disk", false, "crash: run every single-Service schedule over the durable disk bucket store (kills mid-bucket-write and mid-scrub included)")
+		shards         = flag.Int("shards", 0, "crash: fleet width (0 = one Service), or the reshard's starting width")
+		addShards      = flag.Int("add-shards", 0, "crash: shards an online reshard adds (odd schedules merge back); 0 = no reshard")
 
 		scrub      = flag.Bool("scrub", false, "one-shot scrub over a disk bucket image (-scrub-image), or a self-checking corruption demo without one")
 		scrubImage = flag.String("scrub-image", "", "scrub: path of the disk bucket store to audit")
 		scrubKey   = flag.String("scrub-key", "", "scrub: hex bucket key; empty audits frames only (epoch + CRC, no decrypt)")
-
-		crashShards = flag.Bool("crash-shards", false, "run the per-shard crash campaign against a ShardedService fleet")
-		shards      = flag.Int("shards", 3, "crash-shards: fleet width / crash-reshard: starting width")
-
-		crashReshard = flag.Bool("crash-reshard", false, "run the mid-migration crash campaign against an online reshard")
-		addShards    = flag.Int("add-shards", 2, "crash-reshard: shards added by the split (odd schedules merge back)")
 
 		recoverDemo = flag.Bool("recover", false, "run the supervised self-healing demo (faults injected, supervisor heals live)")
 		recoverOps  = flag.Int("recover-ops", 2000, "recover: client operations to drive through the healing service")
@@ -135,31 +124,14 @@ func main() {
 		runCrash(forkoram.CrashChaosConfig{
 			Seed:      *seed,
 			Schedules: *crashSchedules,
-			Faults:    true,
+			Shards:    *shards,
+			AddShards: *addShards,
 			Disk:      *crashDisk,
 		})
 		return
 	}
 	if *scrub {
 		runScrub(*scrubImage, *scrubKey, *seed)
-		return
-	}
-	if *crashShards {
-		runShardedCrash(forkoram.ShardedCrashChaosConfig{
-			Seed:      *seed,
-			Schedules: *crashSchedules,
-			Shards:    *shards,
-			Faults:    true,
-		})
-		return
-	}
-	if *crashReshard {
-		runReshardCrash(forkoram.ReshardChaosConfig{
-			Seed:      *seed,
-			Schedules: *crashSchedules,
-			Shards:    *shards,
-			AddShards: *addShards,
-		})
 		return
 	}
 	if *recoverDemo {
@@ -276,22 +248,6 @@ func runChaos(cfg forkoram.ChaosConfig) {
 
 func runCrash(cfg forkoram.CrashChaosConfig) {
 	rep := forkoram.RunCrashChaos(cfg)
-	fmt.Print(rep.String())
-	if !rep.Ok() {
-		os.Exit(1)
-	}
-}
-
-func runShardedCrash(cfg forkoram.ShardedCrashChaosConfig) {
-	rep := forkoram.RunShardedCrashChaos(cfg)
-	fmt.Print(rep.String())
-	if !rep.Ok() {
-		os.Exit(1)
-	}
-}
-
-func runReshardCrash(cfg forkoram.ReshardChaosConfig) {
-	rep := forkoram.RunReshardCrashChaos(cfg)
 	fmt.Print(rep.String())
 	if !rep.Ok() {
 		os.Exit(1)

@@ -231,6 +231,10 @@ func TestShardedFailureIsolation(t *testing.T) {
 func TestShardedRestartShard(t *testing.T) {
 	const shards, blocks = 3, 24
 	cfg := shardedTestConfig(shards, blocks)
+	// The test restarts the shard itself: the background self-heal loop
+	// (10 ms poll) could bring shard 2 back before the ErrShardDown
+	// assertions run on a loaded host.
+	cfg.SelfHeal = SelfHealConfig{Disable: true}
 	var armed, fired atomic.Bool
 	consult := 0
 	cfg.PerShard = func(_ RoutingPolicy, shard int, sc *ServiceConfig) {
@@ -453,7 +457,7 @@ func TestShardedPerShardTraces(t *testing.T) {
 			ops := []BatchOp{
 				{Addr: uint64(i) % blocks},
 				{Addr: uint64(i+1) % blocks, Write: true, Data: payload32(byte(i))},
-				{Addr: uint64(i + 2*shards) % blocks},
+				{Addr: uint64(i+2*shards) % blocks},
 			}
 			if _, err := svc.Batch(ctx, ops); err != nil {
 				errCh <- fmt.Errorf("batch client op %d: %w", i, err)
