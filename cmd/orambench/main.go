@@ -30,6 +30,7 @@ import (
 	"time"
 
 	forkoram "forkoram"
+	"forkoram/internal/bench"
 	"forkoram/internal/prof"
 )
 
@@ -49,7 +50,7 @@ type benchReport struct {
 	// Speedup is aggregate simulation busy time / wall time: the
 	// effective parallelism the worker pool achieved.
 	Speedup float64 `json:"speedup,omitempty"`
-	// Fork-engine access-loop microbenchmark (see AccessLoopStats).
+	// Fork-engine access-loop microbenchmark (see bench.AccessLoopStats).
 	AccessAllocsPerOp float64 `json:"access_allocs_per_op,omitempty"`
 	AccessNSPerOp     float64 `json:"access_ns_per_op,omitempty"`
 	// Supervised-recovery latency probe (see RecoveryLoopStats): full
@@ -57,7 +58,7 @@ type benchReport struct {
 	// healing.
 	RecoverHealsPerSec     float64 `json:"recover_heals_per_sec,omitempty"`
 	RecoverReplayOpsPerSec float64 `json:"recover_replay_ops_per_sec,omitempty"`
-	// Service group-commit bench (see RunServiceBench): end-to-end write
+	// Service group-commit bench (see runSvcBench): end-to-end write
 	// throughput over file-backed journals with coalescing on vs. pinned
 	// to one sync per op, plus latency percentiles and the dispatch-
 	// window shape the coalescer achieved. SvcShards is the fleet width
@@ -73,7 +74,7 @@ type benchReport struct {
 	SvcMeanGroupSize      float64  `json:"svc_mean_group_size,omitempty"`
 	SvcGroupSizeHist      []uint64 `json:"svc_group_size_hist,omitempty"`
 	// Intra-shard pipeline (see DeviceConfig.PipelineDepth and
-	// RunPipelineSweep): the depth the headline svc_pipeline_* numbers
+	// runSweep): the depth the headline svc_pipeline_* numbers
 	// were measured at, its throughput and speedup over the depth-1
 	// serial run, and the stage counters — windows run, paths prefetched,
 	// refills retired by the writeback stage, and per-stage stall time.
@@ -88,21 +89,21 @@ type benchReport struct {
 	SvcPipelineWritebackWaitNS uint64  `json:"svc_pipeline_writeback_wait_ns,omitempty"`
 	// SvcPipelineSweep holds the full per-depth table when -pipeline-sweep
 	// ran (depth, throughput, latency, stall telemetry per entry).
-	SvcPipelineSweep []forkoram.PipelineSweepRun `json:"svc_pipeline_sweep,omitempty"`
+	SvcPipelineSweep []sweepRun `json:"svc_pipeline_sweep,omitempty"`
 	// Serve/evict stage and multi-core baseline (see
-	// DeviceConfig.ServeWorkers and RunMCSweep): the serve-worker count
+	// DeviceConfig.ServeWorkers and mcCells): the serve-worker count
 	// behind the headline svc_pipeline_* numbers, plus the full
 	// gomaxprocs × depth × workers grid with per-entry GOMAXPROCS/NumCPU
 	// stamps so single-core runs cannot masquerade as multi-core wins.
-	SvcServeWorkers      int                   `json:"svc_serve_workers,omitempty"`
-	SvcMCNumCPU          int                   `json:"svc_mc_num_cpu,omitempty"`
-	SvcMCRemoteLatencyNS int64                 `json:"svc_mc_remote_latency_ns,omitempty"`
-	SvcMCBestSpeedup     float64               `json:"svc_mc_best_speedup,omitempty"`
-	SvcMCBestGomaxprocs  int                   `json:"svc_mc_best_gomaxprocs,omitempty"`
-	SvcMCBestDepth       int                   `json:"svc_mc_best_depth,omitempty"`
-	SvcMCBestWorkers     int                   `json:"svc_mc_best_workers,omitempty"`
-	SvcMCRuns            []forkoram.MCSweepRun `json:"svc_mc_runs,omitempty"`
-	// Online reshard bench (see RunReshardBench): one timed split over
+	SvcServeWorkers      int        `json:"svc_serve_workers,omitempty"`
+	SvcMCNumCPU          int        `json:"svc_mc_num_cpu,omitempty"`
+	SvcMCRemoteLatencyNS int64      `json:"svc_mc_remote_latency_ns,omitempty"`
+	SvcMCBestSpeedup     float64    `json:"svc_mc_best_speedup,omitempty"`
+	SvcMCBestGomaxprocs  int        `json:"svc_mc_best_gomaxprocs,omitempty"`
+	SvcMCBestDepth       int        `json:"svc_mc_best_depth,omitempty"`
+	SvcMCBestWorkers     int        `json:"svc_mc_best_workers,omitempty"`
+	SvcMCRuns            []sweepRun `json:"svc_mc_runs,omitempty"`
+	// Online reshard bench (see runReshardBench): one timed split over
 	// file-backed journals — migration copy throughput, journaled chunk
 	// count, summed write-barrier stall, and what concurrent client
 	// writers still pushed through the dual-routed front door.
@@ -116,7 +117,7 @@ type benchReport struct {
 	SvcReshardEpoch           uint64  `json:"svc_reshard_epoch,omitempty"`
 	SvcReshardClientOpsPerSec float64 `json:"svc_reshard_client_ops_per_sec,omitempty"`
 	SvcReshardClientP99NS     int64   `json:"svc_reshard_client_p99_ns,omitempty"`
-	// Storage tier bench (see RunTierBench): the same mixed workload
+	// Storage tier bench (see runTierBench): the same mixed workload
 	// over the in-memory medium, the durable disk store (with and
 	// without the write-through RAM tier), and the simulated remote.
 	// Slowdowns are relative to the mem run; the remote counters show
@@ -132,7 +133,7 @@ type benchReport struct {
 	SvcRemoteFaults      uint64  `json:"svc_remote_faults,omitempty"`
 	SvcRemoteRecovered   uint64  `json:"svc_remote_recovered,omitempty"`
 	// SvcTierRuns holds the full per-configuration table.
-	SvcTierRuns []forkoram.TierBenchRun `json:"svc_tier_runs,omitempty"`
+	SvcTierRuns tierResult `json:"svc_tier_runs,omitempty"`
 }
 
 type experimentReport struct {
@@ -142,27 +143,33 @@ type experimentReport struct {
 	Error   string  `json:"error,omitempty"`
 }
 
-// fillSvc copies a Service bench result into the report's svc_* fields.
-func (r *benchReport) fillSvc(res forkoram.ServiceBenchResult) {
-	r.SvcShards = res.Shards
-	r.SvcOpsPerSec = res.Grouped.OpsPerSec
-	r.SvcBaselineOpsPerSec = res.Baseline.OpsPerSec
-	r.SvcGroupCommitSpeedup = res.Speedup
-	r.SvcP50LatencyNS = res.Grouped.P50Latency.Nanoseconds()
-	r.SvcP99LatencyNS = res.Grouped.P99Latency.Nanoseconds()
-	r.WALSyncsPerOp = res.Grouped.WALSyncsPerOp
-	r.WALSyncsPerOpBaseline = res.Baseline.WALSyncsPerOp
-	r.SvcMeanGroupSize = res.Grouped.MeanGroupSize
-	r.SvcGroupSizeHist = append([]uint64(nil), res.Grouped.GroupSizes[:]...)
+// fillSvc copies a Service bench result into the report's svc_* fields,
+// and a pipelined run's stage counters into svc_pipeline_* (with no
+// speedup: only the sweeps measure a depth-1 baseline).
+func (r *benchReport) fillSvc(res svcResult) {
+	r.SvcShards = res.cfg.shards
+	r.SvcOpsPerSec = res.grouped.OpsPerSec
+	r.SvcBaselineOpsPerSec = res.baseline.OpsPerSec
+	r.SvcGroupCommitSpeedup = res.speedup
+	r.SvcP50LatencyNS = res.grouped.P50Latency.Nanoseconds()
+	r.SvcP99LatencyNS = res.grouped.P99Latency.Nanoseconds()
+	r.WALSyncsPerOp = res.grouped.WALSyncsPerOp
+	r.WALSyncsPerOpBaseline = res.baseline.WALSyncsPerOp
+	r.SvcMeanGroupSize = res.grouped.MeanGroupSize
+	r.SvcGroupSizeHist = append([]uint64(nil), res.grouped.GroupSizes[:]...)
+	if res.cfg.depth > 1 {
+		r.fillPipelineRun(sweepRun{Depth: res.cfg.depth, Run: res.grouped})
+		r.SvcServeWorkers = res.cfg.workers
+	}
 }
 
-// fillPipelineRun copies one pipelined run's stage counters into the
-// report's svc_pipeline_* fields.
-func (r *benchReport) fillPipelineRun(depth int, run forkoram.ServiceBenchRun, speedup float64) {
-	r.SvcPipelineDepth = depth
-	r.SvcPipelineOpsPerSec = run.OpsPerSec
-	r.SvcPipelineSpeedup = speedup
-	p := run.Pipeline
+// fillPipelineRun promotes one sweep cell to the headline
+// svc_pipeline_* fields.
+func (r *benchReport) fillPipelineRun(c sweepRun) {
+	r.SvcPipelineDepth = c.Depth
+	r.SvcPipelineOpsPerSec = c.Run.OpsPerSec
+	r.SvcPipelineSpeedup = c.Speedup
+	p := c.Run.Pipeline
 	r.SvcPipelineWindows = p.Windows
 	r.SvcPipelinePrefetches = p.Prefetches
 	r.SvcPipelineWritebacks = p.Writebacks
@@ -171,41 +178,37 @@ func (r *benchReport) fillPipelineRun(depth int, run forkoram.ServiceBenchRun, s
 	r.SvcPipelineWritebackWaitNS = p.WritebackWaitNs
 }
 
-// fillPipelineSweep records the whole sweep and promotes its deepest
-// entry to the headline svc_pipeline_* fields.
-func (r *benchReport) fillPipelineSweep(res forkoram.PipelineSweepResult) {
-	r.SvcPipelineSweep = res.Depths
-	if n := len(res.Depths); n > 0 {
-		last := res.Depths[n-1]
-		r.fillPipelineRun(last.Depth, last.Run, last.Speedup)
+// fillPipelineSweep records the whole depth sweep and promotes its
+// deepest entry to the headline svc_pipeline_* fields.
+func (r *benchReport) fillPipelineSweep(res sweepResult) {
+	r.SvcPipelineSweep = res.runs
+	if n := len(res.runs); n > 0 {
+		r.fillPipelineRun(res.runs[n-1])
 	}
 }
 
-// fillMCSweep records the multi-core serve-stage sweep and promotes
-// its best concurrent cell measured at GOMAXPROCS >= 4 to the headline
+// fillMCSweep records the multi-core sweep and promotes its best
+// concurrent cell measured at GOMAXPROCS >= 4 to the headline
 // svc_pipeline_* fields (the speedup is against that scheduler width's
 // own depth-1 serial baseline).
-func (r *benchReport) fillMCSweep(res forkoram.MCSweepResult) {
-	r.SvcMCNumCPU = res.NumCPU
-	r.SvcMCRemoteLatencyNS = res.RemoteLatencyNs
-	r.SvcMCBestSpeedup = res.BestSpeedup
-	r.SvcMCBestGomaxprocs = res.BestGomaxprocs
-	r.SvcMCBestDepth = res.BestDepth
-	r.SvcMCBestWorkers = res.BestWorkers
-	r.SvcMCRuns = res.Runs
-	var best *forkoram.MCSweepRun
-	for i := range res.Runs {
-		run := &res.Runs[i]
-		if run.Workers < 2 || run.Gomaxprocs < 4 {
-			continue
-		}
-		if best == nil || run.Speedup > best.Speedup {
+func (r *benchReport) fillMCSweep(res sweepResult) {
+	r.SvcMCNumCPU = runtime.NumCPU()
+	r.SvcMCRemoteLatencyNS = int64(res.remoteLatency)
+	r.SvcMCBestSpeedup = res.best.Speedup
+	r.SvcMCBestGomaxprocs = res.best.Gomaxprocs
+	r.SvcMCBestDepth = res.best.Depth
+	r.SvcMCBestWorkers = res.best.Workers
+	r.SvcMCRuns = res.runs
+	var best *sweepRun
+	for i := range res.runs {
+		run := &res.runs[i]
+		if run.Workers >= 2 && run.Gomaxprocs >= 4 && (best == nil || run.Speedup > best.Speedup) {
 			best = run
 		}
 	}
 	if best != nil {
+		r.fillPipelineRun(*best)
 		r.SvcServeWorkers = best.Workers
-		r.fillPipelineRun(best.Depth, best.Run, best.Speedup)
 	}
 }
 
@@ -214,35 +217,35 @@ func (r *benchReport) fillMCSweep(res forkoram.MCSweepResult) {
 // that scheduler width's depth-1 serial baseline. A sweep produced
 // entirely at GOMAXPROCS=1 therefore cannot claim a multi-core
 // speedup, whatever its numbers say.
-func requireMCPass(res forkoram.MCSweepResult) error {
-	for _, run := range res.Runs {
+func requireMCPass(res sweepResult) error {
+	for _, run := range res.runs {
 		if run.Workers >= 2 && run.Gomaxprocs >= 4 && run.Speedup >= 1.3 {
 			return nil
 		}
 	}
 	return fmt.Errorf("no concurrent cell at GOMAXPROCS >= 4 reached 1.3x (best %.2fx at gomaxprocs=%d depth=%d workers=%d)",
-		res.BestSpeedup, res.BestGomaxprocs, res.BestDepth, res.BestWorkers)
+		res.best.Speedup, res.best.Gomaxprocs, res.best.Depth, res.best.Workers)
 }
 
 // fillTiers copies a tier bench result into the report's svc_disk_* /
 // svc_remote_* fields.
-func (r *benchReport) fillTiers(res forkoram.TierBenchResult) {
-	r.SvcTierRuns = res.Runs
-	if run := res.Run("mem"); run != nil {
+func (r *benchReport) fillTiers(res tierResult) {
+	r.SvcTierRuns = res
+	if run := res.run("mem"); run != nil {
 		r.SvcMemOpsPerSec = run.OpsPerSec
 	}
-	if run := res.Run("disk"); run != nil {
+	if run := res.run("disk"); run != nil {
 		r.SvcDiskOpsPerSec = run.OpsPerSec
 		r.SvcDiskSlowdown = run.Slowdown
 		r.SvcDiskP99LatencyNS = run.P99Latency.Nanoseconds()
 	}
-	if run := res.Run("disk+tier"); run != nil {
+	if run := res.run("disk+tier"); run != nil {
 		r.SvcDiskTierOpsPerSec = run.OpsPerSec
 		if tot := run.Storage.Tier.ReadHits + run.Storage.Tier.ReadMisses; tot > 0 {
 			r.SvcDiskTierHitRate = float64(run.Storage.Tier.ReadHits) / float64(tot)
 		}
 	}
-	if run := res.Run("remote"); run != nil {
+	if run := res.run("remote"); run != nil {
 		r.SvcRemoteOpsPerSec = run.OpsPerSec
 		r.SvcRemoteSlowdown = run.Slowdown
 		r.SvcRemoteFaults = run.Storage.Remote.TransientReads + run.Storage.Remote.TransientWrites
@@ -252,25 +255,33 @@ func (r *benchReport) fillTiers(res forkoram.TierBenchResult) {
 
 // fillReshard copies a reshard bench result into the report's
 // svc_reshard_* fields.
-func (r *benchReport) fillReshard(res forkoram.ReshardBenchResult) {
-	r.SvcReshardFromShards = res.FromShards
-	r.SvcReshardToShards = res.ToShards
-	r.SvcReshardBlocks = res.Blocks
-	r.SvcReshardElapsedNS = res.Elapsed.Nanoseconds()
-	r.SvcReshardBlocksPerSec = res.BlocksPerSec
-	r.SvcReshardChunks = res.Chunks
-	r.SvcReshardStallNS = res.StallNs
-	r.SvcReshardEpoch = res.Epoch
-	r.SvcReshardClientOpsPerSec = res.ClientOpsPerSec
-	r.SvcReshardClientP99NS = res.ClientP99.Nanoseconds()
+func (r *benchReport) fillReshard(res reshardResult) {
+	r.SvcReshardFromShards = res.from
+	r.SvcReshardToShards = res.to
+	r.SvcReshardBlocks = reshardBlocks
+	r.SvcReshardElapsedNS = res.elapsed.Nanoseconds()
+	r.SvcReshardBlocksPerSec = res.blocksPerSec()
+	r.SvcReshardChunks = res.mig.Chunks
+	r.SvcReshardStallNS = res.mig.StallNs
+	r.SvcReshardEpoch = res.mig.Epoch
+	r.SvcReshardClientOpsPerSec = res.clients.OpsPerSec
+	r.SvcReshardClientP99NS = res.clients.P99Latency.Nanoseconds()
 }
 
-// writeReport writes the BENCH_<date>.json perf record, merging into
-// any record already written for the day: optional sections carry
-// omitempty, so a partial run (-svc, -tiers, -mc-sweep, ...) emits only
-// the fields it measured and leaves the rest of the day's record
-// standing instead of overwriting it with zeroes.
-func writeReport(rep benchReport) {
+// writeReport stamps a record for a run that started at start, lets
+// fill add the mode's fields, and writes it to BENCH_<date>.json,
+// merging into any record already written for the day: optional
+// sections carry omitempty, so a partial run (-svc, -tiers, -mc-sweep,
+// ...) emits only the fields it measured and leaves the rest of the
+// day's record standing instead of overwriting it with zeroes.
+func writeReport(start time.Time, fill func(*benchReport)) {
+	rep := benchReport{
+		Date:        time.Now().Format("2006-01-02"),
+		GoVersion:   runtime.Version(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		WallSeconds: time.Since(start).Seconds(),
+	}
+	fill(&rep)
 	path := fmt.Sprintf("BENCH_%s.json", rep.Date)
 	merged := make(map[string]json.RawMessage)
 	if prev, err := os.ReadFile(path); err == nil {
@@ -330,7 +341,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, e := range forkoram.Experiments() {
+		for _, e := range bench.Experiments {
 			fmt.Println(e)
 		}
 		return
@@ -350,134 +361,71 @@ func main() {
 		}
 	}()
 
-	svcCfg := forkoram.ServiceBenchConfig{
-		Ops:           *svcOps,
-		Shards:        *shards,
-		Seed:          *seed,
-		PipelineDepth: *pipeDepth,
-		ServeWorkers:  *serveWork,
-	}
-	reshardCfg := forkoram.ReshardBenchConfig{Seed: *seed, NewShards: *newShards}
+	svcCfg := svcConfig{blocks: 256, blockSize: 64, clients: 8, ops: *svcOps, shards: *shards,
+		seed: *seed, depth: *pipeDepth, workers: *serveWork}
+	tierCfg := svcConfig{blocks: 256, blockSize: 64, clients: 4, ops: *tierOps, seed: *seed}
+	reshardFrom := 2
 	if *shards > 1 {
-		reshardCfg.Shards = *shards
+		reshardFrom = *shards
 	}
-	tierCfg := forkoram.TierBenchConfig{Ops: *tierOps, Seed: *seed}
-	if *tiers {
-		start := time.Now()
-		res, err := forkoram.RunTierBench(tierCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "orambench: tier bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
+	start := time.Now()
+	switch {
+	case *tiers:
+		res, err := runTierBench(tierCfg)
+		check("tier bench", err)
+		fmt.Print(res)
 		if *jsonOut {
-			rep := benchReport{
-				Date:        time.Now().Format("2006-01-02"),
-				GoVersion:   runtime.Version(),
-				GOMAXPROCS:  runtime.GOMAXPROCS(0),
-				WallSeconds: time.Since(start).Seconds(),
-			}
-			rep.fillTiers(res)
-			writeReport(rep)
+			writeReport(start, func(r *benchReport) { r.fillTiers(res) })
 		}
 		return
-	}
-	if *reshard {
-		start := time.Now()
-		res, err := forkoram.RunReshardBench(reshardCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "orambench: reshard bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
+	case *reshard:
+		res, err := runReshardBench(reshardFrom, *newShards, *seed)
+		check("reshard bench", err)
+		fmt.Print(res)
 		if *jsonOut {
-			rep := benchReport{
-				Date:        time.Now().Format("2006-01-02"),
-				GoVersion:   runtime.Version(),
-				GOMAXPROCS:  runtime.GOMAXPROCS(0),
-				WallSeconds: time.Since(start).Seconds(),
-			}
-			rep.fillReshard(res)
-			writeReport(rep)
+			writeReport(start, func(r *benchReport) { r.fillReshard(res) })
 		}
 		return
-	}
-	if *mcSweep {
-		start := time.Now()
-		mcCfg := svcCfg
-		mcCfg.RemoteLatency = *mcLatency
-		res, err := forkoram.RunMCSweep(mcCfg, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "orambench: mc sweep: %v\n", err)
-			os.Exit(1)
+	case *mcSweep:
+		cfg := svcCfg
+		cfg.remoteLatency = *mcLatency
+		if cfg.remoteLatency == 0 {
+			cfg.remoteLatency = 200 * time.Microsecond
 		}
-		fmt.Print(res.String())
+		res, err := runSweep(cfg, mcCells)
+		check("mc sweep", err)
+		fmt.Print(res)
 		if *jsonOut {
-			rep := benchReport{
-				Date:        time.Now().Format("2006-01-02"),
-				GoVersion:   runtime.Version(),
-				GOMAXPROCS:  runtime.GOMAXPROCS(0),
-				WallSeconds: time.Since(start).Seconds(),
-			}
-			rep.fillMCSweep(res)
-			writeReport(rep)
+			writeReport(start, func(r *benchReport) { r.fillMCSweep(res) })
 		}
 		if *requireMC {
-			if err := requireMCPass(res); err != nil {
-				fmt.Fprintf(os.Stderr, "orambench: mc guard: %v\n", err)
-				os.Exit(1)
-			}
+			check("mc guard", requireMCPass(res))
 			fmt.Println("mc guard: ok")
 		}
 		return
-	}
-	if *pipeSweep {
-		start := time.Now()
-		res, err := forkoram.RunPipelineSweep(svcCfg, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "orambench: pipeline sweep: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
+	case *pipeSweep:
+		// Larger blocks than the svc bench, so the fetch and writeback
+		// stages carry enough AES work for overlap to matter.
+		cfg := svcCfg
+		cfg.blocks, cfg.blockSize = 512, 1024
+		g, w := runtime.GOMAXPROCS(0), *serveWork
+		res, err := runSweep(cfg, []sweepCell{{g, 1, w}, {g, 2, w}, {g, 4, w}})
+		check("pipeline sweep", err)
+		fmt.Print(res)
 		if *jsonOut {
-			rep := benchReport{
-				Date:        time.Now().Format("2006-01-02"),
-				GoVersion:   runtime.Version(),
-				GOMAXPROCS:  runtime.GOMAXPROCS(0),
-				WallSeconds: time.Since(start).Seconds(),
-			}
-			rep.fillPipelineSweep(res)
-			writeReport(rep)
+			writeReport(start, func(r *benchReport) { r.fillPipelineSweep(res) })
+		}
+		return
+	case *svcOnly:
+		res, err := runSvcBench(svcCfg)
+		check("svc bench", err)
+		fmt.Print(res)
+		if *jsonOut {
+			writeReport(start, func(r *benchReport) { r.fillSvc(res) })
 		}
 		return
 	}
-	if *svcOnly {
-		start := time.Now()
-		res, err := forkoram.RunServiceBench(svcCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "orambench: svc bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if *jsonOut {
-			rep := benchReport{
-				Date:        time.Now().Format("2006-01-02"),
-				GoVersion:   runtime.Version(),
-				GOMAXPROCS:  runtime.GOMAXPROCS(0),
-				WallSeconds: time.Since(start).Seconds(),
-			}
-			rep.fillSvc(res)
-			if *pipeDepth > 1 {
-				// No depth-1 baseline in this mode; speedup comes from
-				// -pipeline-sweep or -mc-sweep, which measure both.
-				rep.fillPipelineRun(*pipeDepth, res.Grouped, 0)
-				rep.SvcServeWorkers = *serveWork
-			}
-			writeReport(rep)
-		}
-		return
-	}
-	o := forkoram.ExperimentOptions{
+	o := bench.Options{
 		DataBlocks:      *dataBlocks,
 		RequestsPerCore: *requests,
 		Mixes:           *mixes,
@@ -485,17 +433,16 @@ func main() {
 		Parallel:        *parallel,
 		PaperScale:      *paper,
 	}
-	names := forkoram.Experiments()
+	names := bench.Experiments
 	if *experiment != "" {
 		names = []string{*experiment}
 	}
-	forkoram.ResetExperimentStats()
-	start := time.Now()
+	bench.ResetStats()
 	var reports []experimentReport
 	var failed []string
 	for _, name := range names {
 		t0 := time.Now()
-		err := forkoram.RunExperiment(name, o, os.Stdout)
+		err := bench.Run(name, o, os.Stdout)
 		r := experimentReport{Name: name, Seconds: time.Since(t0).Seconds(), OK: err == nil}
 		if err != nil {
 			r.Error = err.Error()
@@ -505,20 +452,17 @@ func main() {
 		reports = append(reports, r)
 	}
 	wall := time.Since(start)
-	runs, busy := forkoram.ExperimentStats()
-	speedup := 0.0
+	runs, busy := bench.Stats()
+	speedup, runsPerSec := 0.0, 0.0
 	if wall > 0 {
 		speedup = busy.Seconds() / wall.Seconds()
-	}
-	runsPerSec := 0.0
-	if wall > 0 {
 		runsPerSec = float64(runs) / wall.Seconds()
 	}
 	fmt.Printf("done in %s: %d simulations (%.1f/s), parallel speedup %.2fx (busy %s)\n",
 		wall.Round(time.Millisecond), runs, runsPerSec, speedup, busy.Round(time.Millisecond))
 
 	if *jsonOut {
-		allocs, nsOp, err := forkoram.AccessLoopStats(0)
+		allocs, nsOp, err := bench.AccessLoopStats(0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "orambench: access-loop probe: %v\n", err)
 		}
@@ -526,56 +470,54 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "orambench: recovery probe: %v\n", err)
 		}
-		svcRes, err := forkoram.RunServiceBench(svcCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "orambench: svc bench: %v\n", err)
-		} else {
-			fmt.Print(svcRes.String())
-		}
-		reshardRes, reshardErr := forkoram.RunReshardBench(reshardCfg)
-		if reshardErr != nil {
-			fmt.Fprintf(os.Stderr, "orambench: reshard bench: %v\n", reshardErr)
-		} else {
-			fmt.Print(reshardRes.String())
-		}
-		tierRes, tierErr := forkoram.RunTierBench(tierCfg)
-		if tierErr != nil {
-			fmt.Fprintf(os.Stderr, "orambench: tier bench: %v\n", tierErr)
-		} else {
-			fmt.Print(tierRes.String())
-		}
-		rep := benchReport{
-			Date:              time.Now().Format("2006-01-02"),
-			GoVersion:         runtime.Version(),
-			GOMAXPROCS:        runtime.GOMAXPROCS(0),
-			Parallel:          *parallel,
-			Experiments:       reports,
-			WallSeconds:       wall.Seconds(),
-			SimRuns:           runs,
-			RunsPerSec:        runsPerSec,
-			Speedup:           speedup,
-			AccessAllocsPerOp: allocs,
-			AccessNSPerOp:     nsOp,
-
-			RecoverHealsPerSec:     heals,
-			RecoverReplayOpsPerSec: replay,
-		}
-		rep.fillSvc(svcRes)
-		if reshardErr == nil {
-			rep.fillReshard(reshardRes)
-		}
-		if tierErr == nil {
-			rep.fillTiers(tierRes)
-		}
-		if *pipeDepth > 1 {
-			rep.fillPipelineRun(*pipeDepth, svcRes.Grouped, 0)
-			rep.SvcServeWorkers = *serveWork
-		}
-		writeReport(rep)
+		svcRes, svcErr := runSvcBench(svcCfg)
+		report("svc bench", svcRes, svcErr)
+		reshardRes, reshardErr := runReshardBench(reshardFrom, *newShards, *seed)
+		report("reshard bench", reshardRes, reshardErr)
+		tierRes, tierErr := runTierBench(tierCfg)
+		report("tier bench", tierRes, tierErr)
+		writeReport(start, func(r *benchReport) {
+			r.Parallel = *parallel
+			r.Experiments = reports
+			r.WallSeconds = wall.Seconds()
+			r.SimRuns = runs
+			r.RunsPerSec = runsPerSec
+			r.Speedup = speedup
+			r.AccessAllocsPerOp = allocs
+			r.AccessNSPerOp = nsOp
+			r.RecoverHealsPerSec = heals
+			r.RecoverReplayOpsPerSec = replay
+			if svcErr == nil {
+				r.fillSvc(svcRes)
+			}
+			if reshardErr == nil {
+				r.fillReshard(reshardRes)
+			}
+			if tierErr == nil {
+				r.fillTiers(tierRes)
+			}
+		})
 	}
 
 	if len(failed) > 0 {
 		fmt.Fprintf(os.Stderr, "orambench: %d experiment(s) failed: %v\n", len(failed), failed)
 		os.Exit(1)
 	}
+}
+
+// check exits with status 1 when err is set, naming what failed.
+func check(what string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "orambench: %s: %v\n", what, err)
+		os.Exit(1)
+	}
+}
+
+// report prints a bench result, or its error without exiting.
+func report(what string, res fmt.Stringer, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "orambench: %s: %v\n", what, err)
+		return
+	}
+	fmt.Print(res)
 }

@@ -1172,11 +1172,11 @@ func openReshardTarget(o *crashRun, cfg CrashChaosConfig, idx uint64, variant Va
 		migErr: make(chan error, 1),
 	}
 	o.t = t
-	t.budget.Store(reshardMaxShardKills)
-	// The span is sized from the drive-phase ops, but the prefill alone
-	// routes more writes than that to shard 0 of the seed width (every
-	// even address when Shards is 2), so its plan usually spends the
-	// whole shard-kill budget before the migration starts.
+	// The shard-kill budget stays at 0 until the first migration
+	// starts: the prefill alone routes more writes than a plan's span
+	// to shard 0 of the seed width (every even address when Shards is
+	// 2), so an open budget would be spent before any migration. The
+	// plans keep counting meanwhile, so armed kills fire once it opens.
 	span := uint64(o.prof.ops)*3/(2*uint64(t.split)) + 8
 	t.scfg = ShardedServiceConfig{
 		Shards:    cfg.Shards,
@@ -1210,6 +1210,7 @@ func openReshardTarget(o *crashRun, cfg CrashChaosConfig, idx uint64, variant Va
 		}
 	}
 	if !o.dead {
+		t.budget.Store(reshardMaxShardKills)
 		t.startMig()
 	}
 }

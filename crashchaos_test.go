@@ -74,6 +74,11 @@ var crashTargetCases = []struct {
 			if rep.Migrations < uint64(rep.Schedules) {
 				t.Errorf("only %d cutovers committed across %d schedules", rep.Migrations, rep.Schedules)
 			}
+			// Indexes 2 and 3 exist only in the recipient generation, so
+			// a kill there landed during a migration.
+			if k := rep.ShardKills; len(k) != 4 || k[2]+k[3] == 0 {
+				t.Errorf("no shard kill landed on a recipient shard (per-shard kills: %v)", k)
+			}
 		},
 		// 25 schedules × 2 variants already cover every focus point
 		// (rotation period 5): the reduced run is the coverage run.

@@ -127,15 +127,6 @@ type DeviceConfig struct {
 	// with Integrity enabled (payload-only corruption is invisible to
 	// the plaintext plausibility checks).
 	Faults *faults.Config
-	// CryptoWorkers bounds the goroutines decrypting/encrypting bucket
-	// ciphertexts when a whole path segment is read or written at once:
-	// 0 (the default) means one per available CPU, 1 forces serial
-	// crypto. Parallel crypto only engages on the plain medium — the
-	// Integrity and Faults decorators pin the per-bucket path, whose
-	// retry and verification semantics are defined one bucket at a time.
-	// Process-local tuning: not serialized in snapshots, re-applied from
-	// the host device on restore.
-	CryptoWorkers int
 	// PipelineDepth bounds the in-flight accesses of the intra-shard
 	// pipeline: during a Batch of more than one operation on the Fork
 	// variant over the plain medium, access N's writeback (re-encrypt +
@@ -145,11 +136,10 @@ type DeviceConfig struct {
 	// d allows d accesses in flight and d-1 refills queued behind the
 	// ones being written. The public access sequence is identical at
 	// every depth — the schedule is deterministic and prefetch only
-	// moves already-public traffic earlier in time. Like CryptoWorkers
-	// this is process-local tuning: not serialized in snapshots,
-	// re-applied from the host device on restore, and inert under the
-	// Integrity or Faults decorators (whose per-bucket semantics pin
-	// the serial path).
+	// moves already-public traffic earlier in time. This is
+	// process-local tuning: not serialized in snapshots, re-applied from
+	// the host device on restore, and inert under the Integrity or
+	// Faults decorators (whose per-bucket semantics pin the serial path).
 	PipelineDepth int
 	// ServeWorkers sizes the serve/evict stage of the pipeline
 	// (DESIGN.md §15): independent in-flight accesses' stash phases run
@@ -389,7 +379,6 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 func assembleDevice(cfg DeviceConfig, tr tree.Tree, store storage.Medium,
 	verifier *storage.Integrity, root *rng.Source) (*Device, error) {
 
-	store.SetBulkWorkers(cfg.CryptoWorkers)
 	if disk, ok := store.(*storage.Disk); ok {
 		disk.SetCrashWrite(nil) // hooks do not survive reassembly
 	}

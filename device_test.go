@@ -205,26 +205,6 @@ func TestSimulationFacade(t *testing.T) {
 	if res.TotalAccesses() == 0 {
 		t.Fatal("no accesses")
 	}
-	if len(Experiments()) < 15 {
-		t.Fatalf("experiments list too short: %v", Experiments())
-	}
-	if len(Mixes()) != 10 {
-		t.Fatalf("mixes %v", Mixes())
-	}
-	if len(Benchmarks("HG")) == 0 || len(Benchmarks("PARSEC")) == 0 {
-		t.Fatal("benchmark groups empty")
-	}
-}
-
-func TestRunExperimentFacade(t *testing.T) {
-	var buf bytes.Buffer
-	o := ExperimentOptions{DataBlocks: 1 << 16, RequestsPerCore: 200, Mixes: 1}
-	if err := RunExperiment("ablation-sched", o, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("no output")
-	}
 }
 
 func TestDeviceWithIntegrity(t *testing.T) {

@@ -2,7 +2,7 @@
 // Efficiency of ORAM by Removing Redundant Memory Accesses" (Zhang et
 // al., MICRO-48, 2015).
 //
-// The package offers two public surfaces:
+// The package offers three public surfaces:
 //
 //   - Device: a functional oblivious block store. It hides the access
 //     pattern to its backing storage behind Path ORAM, optionally with
@@ -21,12 +21,11 @@
 //     newest checkpoint and replays the journal when the device
 //     fail-stops. Use it when the ORAM must stay up unattended.
 //
-//   - Simulation / Experiment: the architectural evaluation stack — a
-//     trace-driven multicore, shared LLC, hierarchical (recursive) Path
-//     ORAM controller, on-chip bucket caches and a DDR3 timing/energy
-//     model — which regenerates every figure of the paper's evaluation
-//     section. Use RunSimulation for one configuration or RunExperiment
-//     for a whole paper figure.
+//   - Simulation: the architectural evaluation stack — a trace-driven
+//     multicore, shared LLC, hierarchical (recursive) Path ORAM
+//     controller, on-chip bucket caches and a DDR3 timing/energy model.
+//     Use RunSimulation for one configuration; cmd/orambench
+//     regenerates every figure of the paper's evaluation section.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"io"
 )
@@ -65,16 +64,4 @@ func Run(name string, o Options, w io.Writer) error {
 		return fmt.Errorf("bench: %s: %w", name, err)
 	}
 	return t.Render(w)
-}
-
-// All runs every experiment in order. A failing experiment does not stop
-// the later ones; every failure is joined into the returned error.
-func All(o Options, w io.Writer) error {
-	var errs []error
-	for _, name := range Experiments {
-		if err := Run(name, o, w); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }

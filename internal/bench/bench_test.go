@@ -258,6 +258,9 @@ func TestAblations(t *testing.T) {
 }
 
 func TestRunByName(t *testing.T) {
+	if len(Experiments) < 15 {
+		t.Fatalf("experiments list too short: %v", Experiments)
+	}
 	o := tiny()
 	o.Mixes = 1
 	o.RequestsPerCore = 300

@@ -49,18 +49,10 @@ type BulkBackend interface {
 // parallel branch.
 var bulkMinBytes = 4096
 
-// SetBulkWorkers bounds the goroutines used by ReadBuckets and
-// WriteBuckets: 0 (the default) means one per available CPU, 1 forces
-// serial execution, and any other value is used as given.
-func (m *Mem) SetBulkWorkers(n int) { m.bulkWorkers = n }
-
 // bulkParallel decides whether a bulk call over n buckets is worth
 // fanning out.
 func (m *Mem) bulkParallel(n int) bool {
-	if n < 2 || m.bulkWorkers == 1 {
-		return false
-	}
-	return n*m.geo.BucketSize() >= bulkMinBytes
+	return n >= 2 && n*m.geo.BucketSize() >= bulkMinBytes
 }
 
 // growSlots sizes a per-slot staging slice to n buffers of size bytes,
@@ -94,7 +86,7 @@ func growRefs(refs [][]byte, n int) [][]byte {
 // ReadBuckets implements BulkBackend. The map and counters are touched
 // only under mu — validation, counting, and a snapshot of each node's
 // ciphertext reference — then the Open+decode work (all of the CPU
-// cost) runs outside the lock, fanned out across bulkWorkers. The
+// cost) runs outside the lock, fanned out across GOMAXPROCS workers. The
 // snapshot is safe against a concurrent disjoint bulk write: map values
 // are per-node backings, so a writer re-sealing OTHER nodes never
 // touches the bytes a reader snapshot points at.
@@ -137,7 +129,7 @@ func (m *Mem) ReadBuckets(ns []tree.Node, out []block.Bucket) error {
 	}
 	m.rdPt = growSlots(m.rdPt, len(ns), m.geo.BucketSize())
 	pts := m.rdPt
-	return par.ForEach(m.bulkWorkers, len(ns), func(i int) error {
+	return par.ForEach(0, len(ns), func(i int) error {
 		out[i] = block.Bucket{}
 		bk, err := m.decodeBucket(ns[i], cts[i], pts[i])
 		if err != nil {
@@ -236,7 +228,7 @@ func (m *Mem) WriteBuckets(ns []tree.Node, bks []block.Bucket) error {
 	} else {
 		m.wrPt = growSlots(m.wrPt, len(ns), m.geo.BucketSize())
 		pts := m.wrPt
-		err = par.ForEach(m.bulkWorkers, len(ns), func(i int) error {
+		err = par.ForEach(0, len(ns), func(i int) error {
 			if err := m.geo.EncodeBucket(pts[i], &bks[i]); err != nil {
 				return err
 			}

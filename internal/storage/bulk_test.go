@@ -189,10 +189,9 @@ func TestBulkCorruptionSurfaces(t *testing.T) {
 
 // TestBulkCutoffBoundary pins the serial-vs-parallel decision at the
 // exact bulkMinBytes edge: one bucket below the cutoff stays serial, the
-// exact cutoff fans out, SetBulkWorkers(1) pins serial at any volume,
-// and a single bucket never fans out. Both sides of the edge then
-// round-trip real payloads to show the branch choice is behaviorally
-// invisible.
+// exact cutoff fans out, and a single bucket never fans out. Both sides
+// of the edge then round-trip real payloads to show the branch choice
+// is behaviorally invisible.
 func TestBulkCutoffBoundary(t *testing.T) {
 	// Geometry whose bucket size divides the cutoff exactly: Z=4 blocks
 	// of 48-byte payload → 256-byte buckets, 16 of which are 4096 bytes.
@@ -215,11 +214,6 @@ func TestBulkCutoffBoundary(t *testing.T) {
 	if !m.bulkParallel(16) {
 		t.Fatal("a call exactly at the cutoff stayed serial")
 	}
-	m.SetBulkWorkers(1)
-	if m.bulkParallel(32) {
-		t.Fatal("bulkWorkers=1 still fanned out")
-	}
-	m.SetBulkWorkers(0)
 	bulkMinBytes = 0
 	if m.bulkParallel(1) {
 		t.Fatal("a single bucket fanned out")
@@ -250,52 +244,5 @@ func TestBulkCutoffBoundary(t *testing.T) {
 				t.Fatalf("n=%d node %d: %v", n, ns[i], err)
 			}
 		}
-	}
-}
-
-// TestBulkWorkersOneMatchesPerBucketPath: with the volume cutoff forced
-// off, SetBulkWorkers(1) must make bulk calls behave exactly like the
-// per-bucket methods. Equivalence is checked on decoded plaintext —
-// ciphertexts are nonce-randomized, so byte-comparing the medium would
-// be meaningless.
-func TestBulkWorkersOneMatchesPerBucketPath(t *testing.T) {
-	forceBulkParallel(t) // only the workers==1 guard keeps these serial
-	solo, ref := newMem(t), newMem(t)
-	solo.SetBulkWorkers(1)
-	ns := []tree.Node{1, 2, 8, 19, 30}
-	for round := byte(1); round <= 2; round++ { // overwrite round reuses slots
-		bks := make([]block.Bucket, len(ns))
-		for i, n := range ns {
-			bks[i] = testBucket(uint64(50+i), uint64(n)%solo.tr.Leaves(), round+byte(i))
-			if err := ref.WriteBucket(n, &bks[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := solo.WriteBuckets(ns, bks); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out := make([]block.Bucket, len(ns))
-	if err := solo.ReadBuckets(ns, out); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range ns {
-		want, err := ref.ReadBucket(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameBucket(out[i], want); err != nil {
-			t.Fatalf("bulk-serial read of node %d: %v", n, err)
-		}
-		got, err := solo.ReadBucket(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameBucket(got, want); err != nil {
-			t.Fatalf("singleton read off bulk-serial medium, node %d: %v", n, err)
-		}
-	}
-	if c := solo.Counters(); c.BucketWrites != uint64(2*len(ns)) {
-		t.Fatalf("bulk-serial writes counted %d, want %d", c.BucketWrites, 2*len(ns))
 	}
 }

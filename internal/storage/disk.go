@@ -80,11 +80,10 @@ type Disk struct {
 	ptBuf []byte // per-bucket plaintext staging
 	frBuf []byte // per-bucket frame staging
 
-	bulkWorkers int
-	rdMu, wrMu  sync.Mutex // serialize same-kind bulk calls (own the per-kind staging)
-	rdPt, wrPt  [][]byte   // per-slot plaintext staging for bulk calls
-	rdFr, wrFr  [][]byte   // per-slot frame staging for bulk calls
-	wrEp        []uint64   // per-slot epochs claimed under mu by a bulk write
+	rdMu, wrMu sync.Mutex // serialize same-kind bulk calls (own the per-kind staging)
+	rdPt, wrPt [][]byte   // per-slot plaintext staging for bulk calls
+	rdFr, wrFr [][]byte   // per-slot frame staging for bulk calls
+	wrEp       []uint64   // per-slot epochs claimed under mu by a bulk write
 }
 
 const (
@@ -300,17 +299,10 @@ func (d *Disk) SetCrashWrite(hook func(frameLen int) (tear int, err error)) {
 	d.mu.Unlock()
 }
 
-// SetBulkWorkers bounds the goroutines used by ReadBuckets and
-// WriteBuckets (same semantics as Mem.SetBulkWorkers).
-func (d *Disk) SetBulkWorkers(n int) { d.bulkWorkers = n }
-
 // bulkParallel decides whether a bulk call over n buckets is worth
 // fanning out (same policy as Mem).
 func (d *Disk) bulkParallel(n int) bool {
-	if n < 2 || d.bulkWorkers == 1 {
-		return false
-	}
-	return n*d.geo.BucketSize() >= bulkMinBytes
+	return n >= 2 && n*d.geo.BucketSize() >= bulkMinBytes
 }
 
 // pt returns the reusable per-bucket plaintext staging buffer. Caller
@@ -485,7 +477,7 @@ func (d *Disk) ReadBuckets(ns []tree.Node, out []block.Bucket) error {
 		}
 		return nil
 	}
-	return par.ForEach(d.bulkWorkers, len(ns), func(i int) error {
+	return par.ForEach(0, len(ns), func(i int) error {
 		out[i] = block.Bucket{}
 		bk, err := d.readSlot(ns[i], frs[i], pts[i])
 		if err != nil {
@@ -569,7 +561,7 @@ func (d *Disk) WriteBuckets(ns []tree.Node, bks []block.Bucket) error {
 			}
 		}
 	} else {
-		err = par.ForEach(d.bulkWorkers, len(ns), func(i int) error {
+		err = par.ForEach(0, len(ns), func(i int) error {
 			return stage(i, i)
 		})
 	}

@@ -213,7 +213,6 @@ func TestDiskScrubAllFindsEveryCorruption(t *testing.T) {
 // results.
 func TestDiskBulkMinBytesBoundary(t *testing.T) {
 	d := newDisk(t)
-	d.SetBulkWorkers(4)
 	bucketBytes := d.Geometry().BucketSize()
 	atCut := (bulkMinBytes + bucketBytes - 1) / bucketBytes // smallest n with n*size >= cutoff
 	if atCut < 2 {
@@ -258,7 +257,6 @@ func TestDiskBulkMinBytesBoundary(t *testing.T) {
 func TestDiskConcurrentDisjointBulk(t *testing.T) {
 	forceBulkParallel(t)
 	d := newDisk(t)
-	d.SetBulkWorkers(4)
 	readSet := []tree.Node{0, 1, 3, 7, 15}
 	writeSet := []tree.Node{2, 6, 14, 30, 22}
 	seed := make([]block.Bucket, len(readSet))

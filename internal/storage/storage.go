@@ -73,8 +73,6 @@ type Medium interface {
 	BulkBackend
 	// Tree returns the tree shape the medium was laid out for.
 	Tree() tree.Tree
-	// SetBulkWorkers bounds the crypto fan-out of bulk calls.
-	SetBulkWorkers(n int)
 	// Reset reverts every bucket to never-written (a freshly created
 	// device assumes an empty tree; stale frames from a previous
 	// incarnation are dead state, recovered — if at all — from a
@@ -112,13 +110,12 @@ type Mem struct {
 
 	ptBuf []byte // plaintext staging buffer, reused by every per-bucket read and write
 
-	bulkWorkers int        // ReadBuckets/WriteBuckets fan-out (0 = GOMAXPROCS, 1 = serial)
-	rdMu        sync.Mutex // serializes bulk reads (owns rdPt/rdCt for the call)
-	wrMu        sync.Mutex // serializes bulk writes (owns wrPt/wrCt for the call)
-	rdPt        [][]byte   // per-slot plaintext staging for bulk reads
-	wrPt        [][]byte   // per-slot plaintext staging for bulk writes
-	rdCt        [][]byte   // ciphertext refs snapshotted under mu by a bulk read
-	wrCt        [][]byte   // ciphertext slots claimed under mu by a bulk write
+	rdMu sync.Mutex // serializes bulk reads (owns rdPt/rdCt for the call)
+	wrMu sync.Mutex // serializes bulk writes (owns wrPt/wrCt for the call)
+	rdPt [][]byte   // per-slot plaintext staging for bulk reads
+	wrPt [][]byte   // per-slot plaintext staging for bulk writes
+	rdCt [][]byte   // ciphertext refs snapshotted under mu by a bulk read
+	wrCt [][]byte   // ciphertext slots claimed under mu by a bulk write
 }
 
 // NewMem creates a Mem backend for the given tree and bucket geometry,

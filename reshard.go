@@ -341,7 +341,7 @@ func (r *ShardedService) migOp(set *shardSet, sh int, f func(*Service) error) er
 			return fmt.Errorf("forkoram: shard %d (policy v%d) stayed down through %d restarts: %w",
 				sh, set.policy.Version, attempt, err)
 		}
-		if rerr := r.restartIn(set, sh); rerr != nil {
+		if _, rerr := r.restartIn(set, sh, svc); rerr != nil {
 			if errors.Is(rerr, ErrClosed) {
 				return ErrClosed
 			}
@@ -579,7 +579,8 @@ func (r *ShardedService) healSweep(slots map[*shardSet][]healSlot) {
 			slots[set] = sl
 		}
 		for i := range sl {
-			if r.svcAt(set, i).State() != stateKilled {
+			dead := r.svcAt(set, i)
+			if dead.State() != stateKilled {
 				sl[i] = healSlot{}
 				continue
 			}
@@ -587,7 +588,8 @@ func (r *ShardedService) healSweep(slots map[*shardSet][]healSlot) {
 			if s.fails >= c.MaxFailures || now.Before(s.notBefore) {
 				continue
 			}
-			if err := r.restartIn(set, i); err != nil {
+			restarted, err := r.restartIn(set, i, dead)
+			if err != nil {
 				if errors.Is(err, ErrClosed) {
 					return
 				}
@@ -599,9 +601,11 @@ func (r *ShardedService) healSweep(slots map[*shardSet][]healSlot) {
 				continue
 			}
 			sl[i] = healSlot{}
-			r.mu.Lock()
-			r.healRestarts++
-			r.mu.Unlock()
+			if restarted {
+				r.mu.Lock()
+				r.healRestarts++
+				r.mu.Unlock()
+			}
 		}
 	}
 }
@@ -610,21 +614,21 @@ func (r *ShardedService) healSweep(slots map[*shardSet][]healSlot) {
 // cold-starting any whose supervisor exited, ignoring backoff and
 // budget — the chaos harness's deterministic stand-in for the
 // background loop. Restart attempts that are themselves crash-killed
-// leave the shard down for the caller's next pass.
+// leave the shard down for the caller's next pass; a shard another
+// restarter already replaced is left alone.
 func (r *ShardedService) healDownShards() (int, error) {
 	healed := 0
 	for _, set := range r.servingSets() {
 		for i := range set.svcs {
-			if r.svcAt(set, i).State() != stateKilled {
+			dead := r.svcAt(set, i)
+			if dead.State() != stateKilled {
 				continue
 			}
-			err := r.restartIn(set, i)
+			restarted, err := r.restartIn(set, i, dead)
 			switch {
-			case err == nil:
+			case restarted:
 				healed++
-			case errors.Is(err, errKilled):
-				// cold start crash-injected; still down
-			default:
+			case err != nil && !errors.Is(err, errKilled):
 				return healed, err
 			}
 		}

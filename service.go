@@ -744,7 +744,9 @@ func (s *Service) do(ctx context.Context, req *svcReq) (svcResp, error) {
 		select {
 		case s.q <- req:
 		case <-s.closing:
-			return svcResp{}, ErrClosed
+			// A killed incarnation that a restarter closed must still
+			// answer errKilled, not ErrClosed.
+			return svcResp{}, s.deadErr()
 		case <-s.done:
 			// Supervisor gone (crash-injected death): the queue would
 			// swallow the request forever.
@@ -761,7 +763,7 @@ func (s *Service) do(ctx context.Context, req *svcReq) (svcResp, error) {
 		select {
 		case s.q <- req:
 		case <-s.closing:
-			return svcResp{}, ErrClosed
+			return svcResp{}, s.deadErr()
 		case <-s.done:
 			return svcResp{}, s.deadErr()
 		case <-ctx.Done():

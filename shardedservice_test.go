@@ -339,6 +339,51 @@ func TestShardedRestartShard(t *testing.T) {
 	}
 }
 
+// TestStaleRestartKeepsReplacement: the migrator, the self-heal loop and
+// heal passes can all see one shard death. Whichever restarts second
+// must leave the winner's incarnation serving, and the dead incarnation,
+// closed by the restart, must keep answering as killed (ErrShardDown at
+// the router), never as an orderly ErrClosed.
+func TestStaleRestartKeepsReplacement(t *testing.T) {
+	cfg := shardedTestConfig(2, 16)
+	cfg.SelfHeal = SelfHealConfig{Disable: true}
+	var armed atomic.Bool
+	cfg.PerShard = func(_ RoutingPolicy, shard int, sc *ServiceConfig) {
+		if shard == 1 {
+			sc.crashHook = func(CrashPoint) bool { return armed.CompareAndSwap(true, false) }
+		}
+	}
+	svc, err := NewShardedService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	armed.Store(true)
+	if err := svc.Write(ctx, 1, payload32(1)); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("armed write returned %v, want ErrShardDown", err)
+	}
+	set, dead := svc.cur, svc.shard(1)
+	if ok, err := svc.restartIn(set, 1, dead); !ok || err != nil {
+		t.Fatalf("first restart: restarted=%v err=%v", ok, err)
+	}
+	fresh := svc.shard(1)
+	if ok, err := svc.restartIn(set, 1, dead); ok || err != nil {
+		t.Fatalf("stale restart: restarted=%v err=%v, want a no-op", ok, err)
+	}
+	if svc.shard(1) != fresh || fresh.State() != StateHealthy {
+		t.Fatalf("stale restart replaced or closed the live incarnation (state %v)", fresh.State())
+	}
+	if err := svc.Write(ctx, 1, payload32(2)); err != nil {
+		t.Fatalf("write after restart: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := dead.Write(ctx, 0, payload32(3)); !errors.Is(err, errKilled) {
+			t.Fatalf("closed dead incarnation answered %v, want errKilled", err)
+		}
+	}
+}
+
 // TestShardedReopenFromStores closes a fleet and rebuilds it over the
 // same per-shard durable stores: per-shard cold-start recovery must
 // reconstruct every acknowledged write.

@@ -3,9 +3,7 @@ package forkoram
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"forkoram/internal/bench"
 	"forkoram/internal/rng"
 	"forkoram/internal/sim"
 	"forkoram/internal/workload"
@@ -42,56 +40,6 @@ func DefaultSimConfig(scheme Scheme) SimConfig { return sim.Default(scheme) }
 
 // RunSimulation executes one full-system simulation.
 func RunSimulation(cfg SimConfig) (SimResult, error) { return sim.Run(cfg) }
-
-// ExperimentOptions scales the paper-figure experiment harness.
-type ExperimentOptions = bench.Options
-
-// Experiments lists the experiment names accepted by RunExperiment
-// (fig10..fig19, ablation-*).
-func Experiments() []string { return append([]string(nil), bench.Experiments...) }
-
-// RunExperiment regenerates one paper figure (or ablation), writing its
-// table to w.
-func RunExperiment(name string, o ExperimentOptions, w io.Writer) error {
-	return bench.Run(name, o, w)
-}
-
-// RunAllExperiments regenerates every figure and ablation in order. A
-// failing experiment does not stop the later ones; all failures are
-// joined into the returned error.
-func RunAllExperiments(o ExperimentOptions, w io.Writer) error {
-	return bench.All(o, w)
-}
-
-// ExperimentStats reports how many simulations the harness has run in
-// this process and their aggregate busy (single-threaded CPU) time.
-// Busy time divided by wall time is the effective parallel speedup.
-func ExperimentStats() (runs uint64, busy time.Duration) { return bench.Stats() }
-
-// ResetExperimentStats clears the cumulative simulation counters.
-func ResetExperimentStats() { bench.ResetStats() }
-
-// AccessLoopStats measures the steady-state fork-engine ORAM access
-// loop: heap allocations and wall nanoseconds per engine step, averaged
-// over iters steps (iters <= 0 picks a default).
-func AccessLoopStats(iters int) (allocsPerOp, nsPerOp float64, err error) {
-	return bench.AccessLoopStats(iters)
-}
-
-// Benchmarks returns the synthetic benchmark names of a group: "LG" (low
-// ORAM overhead), "HG" (high), or "PARSEC" (multithreaded).
-func Benchmarks(group string) []string {
-	return workload.Names(workload.Group(group))
-}
-
-// Mixes returns Table 2's multi-programmed workload names.
-func Mixes() []string {
-	var out []string
-	for _, m := range workload.Mixes() {
-		out = append(out, m.Name)
-	}
-	return out
-}
 
 // TraceRequest is one memory request of a recorded trace: a 64-byte-block
 // address, a read/write flag and the compute gap (core cycles) since the

@@ -482,7 +482,6 @@ func UnmarshalSnapshot(data []byte, from *Device) (*Snapshot, error) {
 	s.medium = from.store
 	s.cfg.Observer = from.cfg.Observer
 	s.cfg.Faults = from.cfg.Faults
-	s.cfg.CryptoWorkers = from.cfg.CryptoWorkers
 	s.cfg.PipelineDepth = from.cfg.PipelineDepth
 	s.cfg.ServeWorkers = from.cfg.ServeWorkers
 	// Storage holds live process-local handles (the medium, remote/retry
